@@ -45,6 +45,7 @@ from .groups import (
     format_element,
     make_group,
     maximal_subgroups,
+    orbit_size,
 )
 
 MAX_SUBSETS = 1 << 22
@@ -368,6 +369,17 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
     records = []
     for canon in sorted(by_canon, key=lambda c: (len(c), c)):
         conn = _sorted_element_tuple(group, canon)
+        # the DRG family is Aut(G)-invariant, so a class is a whole orbit
+        found, expected = len(by_canon[canon]), orbit_size(group, canon)
+        if found != expected:
+            raise InvariantViolation(
+                f"Aut(G)-class of {conn} has {found} members, its orbit has {expected}",
+                witness={
+                    "connection": [format_element(e) for e in conn],
+                    "expected": expected,
+                    "found": found,
+                },
+            )
         graph = CayleyGraph(group, conn)
         check = check_distance_regular(graph)
         if not check.ok or check.array is None:

@@ -518,7 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit_error(fmt: str, kind: str, exc: Exception) -> None:
     if fmt == "json":
-        print(json.dumps({"error": kind, "message": str(exc)}, sort_keys=True))
+        payload = {"error": kind, "message": str(exc)}
+        witness = getattr(exc, "witness", None)
+        if witness is not None:
+            payload["witness"] = witness
+        print(json.dumps(payload, sort_keys=True))
     else:
         sys.stderr.write(f"error ({kind}): {exc}\n")
 

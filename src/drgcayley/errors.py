@@ -11,6 +11,8 @@ a partition that is not a Schur ring, a non-empty classification diff)
 are ordinary return values, not exceptions.
 """
 
+from typing import Optional
+
 
 class SpecError(ValueError):
     """Malformed input or violated operation precondition."""
@@ -25,4 +27,12 @@ class PrecisionError(SpecError):
 
 
 class InvariantViolation(RuntimeError):
-    """An internal invariant failed; indicates a bug, never bad input."""
+    """An internal invariant failed; indicates a bug, never bad input.
+
+    `witness`, when given, is a JSON-ready dict of the data that shows the
+    failure; the CLI puts it into its JSON error payload.
+    """
+
+    def __init__(self, message: str, witness: Optional[dict] = None):
+        super().__init__(message)
+        self.witness = witness

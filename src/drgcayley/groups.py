@@ -14,7 +14,7 @@ import functools as ft
 import itertools as it
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .errors import InvariantViolation, SpecError
 
 MAX_ORDER = 2048
 MAX_AUT_ORDER = 200
+MAX_AUT_CANDIDATES = 1 << 20  # generator-image tuples automorphisms() may test
+AUT_CHUNK_ENTRIES = 1 << 16  # int32 entries per enumeration temporary
 MAX_SUBGROUPS = 50_000
 
 
@@ -648,46 +650,104 @@ def subgroup_as_group(sub: Subgroup) -> Tuple[AbelianGroup, Dict[GroupElement, G
 # automorphisms
 
 
-def automorphisms(group: AbelianGroup) -> List[np.ndarray]:
-    """All automorphisms as permutation arrays over element indices.
+def aut_candidate_count(group: AbelianGroup) -> int:
+    """Generator-image tuples that `automorphisms` tests: prod_ij gcd(n_i, n_j).
 
-    Brute force over generator images; guarded by MAX_AUT_ORDER.
+    The image of e_i must be killed by n_i, which leaves gcd(n_i, n_j)
+    residues in coordinate j.
+    """
+    return prod(gcd(ni, nj) for ni in group.moduli for nj in group.moduli)
+
+
+def automorphisms(group: AbelianGroup) -> np.ndarray:
+    """All automorphisms as a read-only (|Aut|, n) int32 array; row a maps
+    element index i to a[i].  Rows are in lexicographic order.
+
+    Every generator-image tuple is one integer matrix M (row i = image of
+    e_i); the tuples are walked in fixed-size chunks, all n elements are
+    mapped per chunk at once, and a homomorphism is kept iff its kernel is
+    trivial.  Refused (SpecError) when |G| > MAX_AUT_ORDER or when more
+    than MAX_AUT_CANDIDATES tuples would be walked.
     """
     cached = group._cache.get("automorphisms")
     if cached is not None:
         return cached  # type: ignore[return-value]
     if group.order > MAX_AUT_ORDER:
         raise SpecError(f"automorphism enumeration limited to order {MAX_AUT_ORDER}")
-    n = group.order
-    elems = group.elements()
-    # candidate images of the standard generator e_i: elements killed by n_i
-    candidates: List[List[GroupElement]] = []
-    for ni in group.moduli:
-        cand = [g for g in elems if all((ni * c) % m == 0 for c, m in zip(g.coords, group.moduli))]
-        candidates.append(cand)
-    coords = group.coords_matrix()
-    perms: List[np.ndarray] = []
-    for images in it.product(*candidates):
-        img_mat = np.array([[im.coords[j] for j in range(group.rank)] for im in images], dtype=np.int64)
-        # x = sum x_i e_i  ->  sum x_i images_i ; compute indices directly
-        mapped = coords @ img_mat  # (n, rank), still unreduced
-        acc = np.zeros(n, dtype=np.int64)
-        for j, (m, s) in enumerate(zip(group.moduli, group._strides)):
-            acc += (mapped[:, j] % m) * s
-        if len(np.unique(acc)) == n:
-            perms.append(acc.astype(np.int32))
-    perms.sort(key=lambda p: p.tolist())
+    total = aut_candidate_count(group)
+    if total > MAX_AUT_CANDIDATES:
+        raise SpecError(
+            f"automorphism enumeration over {group} would test {total} generator images,"
+            f" above the limit {MAX_AUT_CANDIDATES}"
+        )
+    n, r, mods = group.order, group.rank, group.moduli
+    coords = group.coords_matrix().astype(np.int32)
+    # entry (i, j) of M ranges over the multiples of m_j / gcd(n_i, m_j)
+    radices = [gcd(mods[i], mods[j]) for i in range(r) for j in range(r)]
+    steps = [mods[j] // radices[i * r + j] for i in range(r) for j in range(r)]
+    chunk = max(1, AUT_CHUNK_ENTRIES // n)
+    kept: List[np.ndarray] = []
+    for start in range(0, total, chunk):
+        t = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        mats = np.empty((r, r, len(t)), dtype=np.int32)
+        for k, (radix, step) in enumerate(zip(radices, steps)):
+            t, digit = np.divmod(t, radix)
+            mats[k // r, k % r] = digit * step
+        acc = np.zeros((n, mats.shape[2]), dtype=np.int32)
+        for j, (m, s) in enumerate(zip(mods, group._strides)):
+            acc += (coords @ mats[:, j]) % m * s
+        # a homomorphism of a finite group is a bijection iff only 0 maps to 0
+        kept.append(acc[:, (acc[1:] != 0).all(axis=0)].T)
+    perms = np.concatenate(kept)
+    perms = perms[np.lexsort(perms.T[::-1])]
+    perms.flags.writeable = False
     group._cache["automorphisms"] = perms
     return perms
 
 
+def _lex_keys(group: AbelianGroup) -> np.ndarray:
+    """(n, |Aut|) table for n <= 64: entry [i, a] is the bit n-1-a[i].
+
+    Summed over the elements of a set S, column a is the indicator word of
+    a(S): images of distinct elements are distinct bits, so the sum is the
+    bitwise OR, and the larger word is the lexicographically smaller set.
+    The words take 32 bits when n <= 32.
+    """
+    keys = group._cache.get("aut_lex_keys")
+    if keys is None:
+        n = group.order
+        dtype = np.uint32 if n <= 32 else np.uint64
+        bits = dtype(1) << np.arange(n - 1, -1, -1, dtype=dtype)
+        keys = np.ascontiguousarray(bits[automorphisms(group)].T)
+        group._cache["aut_lex_keys"] = keys
+    return keys  # type: ignore[return-value]
+
+
+def _image_keys(group: AbelianGroup, indices: Iterable[int]) -> np.ndarray:
+    """One key per automorphism a; keys are equal iff the images a(S) are.
+
+    For n <= 64 the key is the indicator word of a(S) from `_lex_keys`;
+    otherwise it is the row a(S), sorted.
+    """
+    idx = np.array(sorted(set(indices)), dtype=np.intp)
+    if group.order <= 64:
+        return _lex_keys(group)[idx].sum(axis=0)
+    img = automorphisms(group)[:, idx]
+    img.sort(axis=1)
+    return img
+
+
 def canonicalize_connection_set(group: AbelianGroup, indices: Iterable[int]) -> Tuple[int, ...]:
-    """Lexicographically least Aut(G)-image of an index set."""
-    idx = sorted(indices)
-    best: Optional[Tuple[int, ...]] = None
-    for p in automorphisms(group):
-        img = tuple(sorted(int(p[i]) for i in idx))
-        if best is None or img < best:
-            best = img
-    assert best is not None
-    return best
+    """Lexicographically least Aut(G)-image of an index set: the image with
+    the largest indicator word, or the least sorted image row."""
+    key = _image_keys(group, indices)
+    if key.ndim == 1:
+        word, n = int(key.max()), group.order
+        return tuple(i for i in range(n) if word >> (n - 1 - i) & 1)
+    best = key[np.lexsort(key.T[::-1])[0]] if key.shape[1] else ()
+    return tuple(int(i) for i in best)
+
+
+def orbit_size(group: AbelianGroup, indices: Iterable[int]) -> int:
+    """|Aut(G)| / |Stab(S)|: the number of distinct Aut(G)-images of S."""
+    return len(np.unique(_image_keys(group, indices), axis=0))

@@ -1,0 +1,42 @@
+"""Classification reports against golden digests, and the class-size check.
+
+tests/golden/classify_digests.json maps a group's moduli to the SHA-256
+of ``classify_group(SearchSpec(make_group(moduli))).to_json()`` as the
+per-automorphism reference implementation produced it.  Any change that
+alters a report's bytes shows here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from drgcayley import classify
+from drgcayley.cli import run
+from drgcayley.classify import SearchSpec, classify_group
+from drgcayley.groups import make_group
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "classify_digests.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_report_matches_golden_digest(key):
+    report = classify_group(SearchSpec(make_group([int(m) for m in key.split(",")])))
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == GOLDEN[key]
+
+
+def test_class_size_witness_reaches_cli_json(monkeypatch, capsys):
+    scan = classify._scan_range
+
+    def drop_first_drg(args):
+        connected, survivors, drg_ids = scan(args)
+        return connected, survivors, drg_ids[1:]
+
+    monkeypatch.setattr(classify, "_scan_range", drop_first_drg)
+    code = run(["--format", "json", "classify", "--group", "3,3"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert data["error"] == "invariant"
+    assert set(data["witness"]) == {"connection", "expected", "found"}
+    assert data["witness"]["found"] == data["witness"]["expected"] - 1
