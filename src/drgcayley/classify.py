@@ -3,15 +3,18 @@
 The search space over a group G is the family of inverse-closed subsets
 of G\\{0}, indexed by bitmasks over the {g,-g} orbit basis.  Candidates
 pass three exact stages: a maximal-subgroup containment test for
-connectivity, a vectorized first-level screen (common-neighbour counts
-must be constant on the set and on its coverage ring), and the full
-distance-regularity check.  The screen arithmetic stays integral inside
-float32 matmuls, so it can only over-approximate the answer set, never
-drop a graph; the final verdict always comes from the exact check.
+connectivity, a first-level screen (common-neighbour counts must be
+constant on the set and on its coverage ring), and the full
+distance-regularity check.  The screen walks the low orbit bits in Gray
+order, so consecutive sets differ by one orbit and conv(S) is updated in
+place, and it decides constancy in integers: values c on a set of size k
+are constant iff k * sum(c^2) == sum(c)^2 (the equality case of
+Cauchy-Schwarz).  It can only over-approximate the answer set, never drop
+a graph; the final verdict always comes from the exact check.
 
-Subset ranges split statically across worker processes and the report is
-assembled from the merged verdicts alone, which keeps its serialized
-form byte-identical for any worker count.
+Blocks of subset ids split statically across worker processes and the
+report is assembled from the merged verdicts alone, which keeps its
+serialized form byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import get_context
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -49,7 +53,6 @@ from .groups import (
 )
 
 MAX_SUBSETS = 1 << 22
-SCAN_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -99,34 +102,33 @@ def enumerate_connection_sets(group: AbelianGroup, limit: int = MAX_SUBSETS) -> 
 
 
 # ---------------------------------------------------------------------------
-# batched scan
+# Gray-code screen
+
+HIGH_BITS = 12
+
+
+def _low_bits(B: int) -> int:
+    """Orbit bits walked in Gray order; the top min(B, HIGH_BITS) bits of an
+    id are its prefix, and the 2^L ids sharing a prefix form one block."""
+    return max(B - HIGH_BITS, 0)
 
 
 class _ScanTables:
-    """Per-process immutable arrays driving the vectorized screen."""
+    """Per-process immutable arrays driving the Gray-code screen."""
 
     def __init__(self, moduli: Tuple[int, ...]):
         group = make_group(moduli)
         basis = inverse_pair_basis(group)
-        n, B = group.order, len(basis)
+        B = len(basis)
         if group.index(group.zero) != 0:
             raise InvariantViolation("zero must sit at element index 0")
         add = group.add_table()
-        pairs = [(j, k) for j in range(B) for k in range(j, B)]
-        # pair_sums[(j<=k), g] counts ordered (x, y) with x in o_j, y in o_k
-        # (both orders when j < k) and x + y = g; conv(S)[g] is then a
-        # quadratic form in the mask bits.  Entries stay below 2^24, so
-        # float32 matmuls reproduce them exactly.
-        pair_sums = np.zeros((len(pairs), n), dtype=np.float32)
-        for pi, (j, k) in enumerate(pairs):
-            w = 1 if j == k else 2
-            for x in basis[j]:
-                for y in basis[k]:
-                    pair_sums[pi, add[x, y]] += w
-        orbit_mat = np.zeros((B, n), dtype=np.float32)
-        for j, orb in enumerate(basis):
-            for i in orb:
-                orbit_mat[j, i] = 1
+        # self_conv[j] = {g: #{(x, y) in o_j^2 : x + y = g}}, the o_j * o_j
+        # term of every update; it has at most three entries.
+        self_conv = []
+        for orb in basis:
+            counts: Counter = Counter(int(add[x, y]) for x in orb for y in orb)
+            self_conv.append(tuple(sorted(counts.items())))
         outside_masks = []
         for sub in maximal_subgroups(group):
             members = set(sub.indices())
@@ -138,89 +140,132 @@ class _ScanTables:
         self.group = group
         self.basis = basis
         self.B = B
-        self.pair_j = np.array([j for j, _ in pairs], dtype=np.int64)
-        self.pair_k = np.array([k for _, k in pairs], dtype=np.int64)
-        self.pair_sums = pair_sums
-        self.orbit_mat = orbit_mat
+        self.sub = group.sub_table()
+        self.self_conv = tuple(self_conv)
         self.outside_masks = tuple(outside_masks)
 
 
-_TABLES: Dict[Tuple[int, ...], _ScanTables] = {}
-
-
+@lru_cache(maxsize=8)
 def _tables(moduli: Tuple[int, ...]) -> _ScanTables:
-    tab = _TABLES.get(moduli)
-    if tab is None:
-        tab = _TABLES[moduli] = _ScanTables(moduli)
-    return tab
+    return _ScanTables(moduli)
 
 
-def _screen_chunk(tab: _ScanTables, ids: np.ndarray) -> np.ndarray:
-    """Ids of connected candidates whose first-level counts are constant.
+def _orbit_delta(
+    tab: _ScanTables, ind: np.ndarray, j: int, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """conv(T + o_j) - conv(T) per column, into `out`, for the sets T in
+    `ind` (no element of o_j among them): 2 * (o_j * T) + o_j * o_j, where
+    (o_j * T)[g] is the sum over x in o_j of T[g - x]."""
+    # mode="clip" lets take write into `out` unbuffered; the indices are
+    # group elements, so none is clipped.
+    orb = tab.basis[j]
+    np.take(ind, tab.sub[:, orb[0]], axis=0, out=out, mode="clip")
+    if len(orb) == 2:
+        out += np.take(ind, tab.sub[:, orb[1]], axis=0, out=tmp, mode="clip")
+    out *= 2
+    for g, count in tab.self_conv[j]:
+        out[g] += count
+    return out
 
-    Both conditions are necessary for distance-regularity: conv[s] is the
-    number of common neighbours of 0 and s (a_1 on the set itself, c_2 on
-    the nonzero elements it covers outside itself).
+
+def _constant(vals: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per column: are the integers in `vals`, zero off a set of size k,
+    constant on that set?  By Cauchy-Schwarz k * sum(c^2) >= sum(c)^2, with
+    equality exactly when they are.  The column sums may run in int32:
+    entries are at most |S| < n, so they stay below n^3, and n <= 2B + 1
+    is far below 1290 for any enumerable B."""
+    s1 = np.einsum("ij->j", vals).astype(np.int64)
+    s2 = np.einsum("ij,ij->j", vals, vals).astype(np.int64)
+    return k * s2 == s1 * s1
+
+
+def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
+    """(connected count, sorted ids of connected candidates whose
+    first-level counts are constant) over lo <= id < hi, both multiples of
+    2^L.
+
+    Both conditions are necessary for distance-regularity: conv(S)[g] is the
+    number of common neighbours of 0 and g (a_1 on S itself, c_2 on the
+    nonzero elements it covers outside itself).  Each prefix is one column
+    of `ind` (the indicator of S) and `conv`; the walk toggles one low orbit
+    per step, in Gray order, and updates every column at once.
     """
-    ok = np.ones(len(ids), dtype=bool)
-    for mask in tab.outside_masks:
-        ok &= (ids & mask) != 0
-    ids = ids[ok]
-    if not len(ids):
-        return ids
-    bits = ((ids[:, None] >> np.arange(tab.B, dtype=np.int64)) & 1).astype(np.float32)
-    conv = (bits[:, tab.pair_j] * bits[:, tab.pair_k]) @ tab.pair_sums
-    conv = conv.astype(np.int32)
-    on = (bits @ tab.orbit_mat) > 0
-    off = ~on
-    off[:, 0] = False
-    covered = off & (conv > 0)
-    big = np.int32(1 << 30)
-    a_hi = np.where(on, conv, -1).max(axis=1)
-    a_lo = np.where(on, conv, big).min(axis=1)
-    c_hi = np.where(covered, conv, -1).max(axis=1)
-    c_lo = np.where(covered, conv, big).min(axis=1)
-    keep = (a_hi == np.where(a_lo == big, -1, a_lo)) & (
-        c_hi == np.where(c_lo == big, -1, c_lo)
-    )
-    return ids[keep]
+    L = _low_bits(tab.B)
+    if lo % (1 << L) or hi % (1 << L):
+        raise InvariantViolation(f"scan range [{lo}, {hi}) is not aligned to blocks of 2^{L} ids")
+    prefixes = np.arange(lo >> L, hi >> L, dtype=np.int64)
+    ind = np.zeros((tab.group.order, len(prefixes)), dtype=np.int32)
+    conv, delta, tmp = np.zeros_like(ind), np.empty_like(ind), np.empty_like(ind)
+    for j in range(L, tab.B):
+        bit = ((prefixes >> (j - L)) & 1).astype(np.int32)
+        conv += _orbit_delta(tab, ind, j, delta, tmp) * bit
+        ind[list(tab.basis[j]), :] = bit
+    k_high = ind.sum(axis=0, dtype=np.int64)
+    # inside_high[m, c]: the high orbits of prefix c all lie in maximal
+    # subgroup m; S is disconnected iff that also holds for its low orbits.
+    inside_high = np.array(
+        [(prefixes & (mask >> L)) == 0 for mask in tab.outside_masks], dtype=bool
+    ).reshape(len(tab.outside_masks), len(prefixes))
+    connected = 0
+    found = []
+    low = k_low = 0
+    for t in range(1 << L):
+        if t:
+            j = (t & -t).bit_length() - 1
+            low ^= 1 << j
+            orb = list(tab.basis[j])
+            if low >> j & 1:
+                conv += _orbit_delta(tab, ind, j, delta, tmp)
+                ind[orb, :] = 1
+                k_low += len(orb)
+            else:
+                ind[orb, :] = 0
+                conv -= _orbit_delta(tab, ind, j, delta, tmp)
+                k_low -= len(orb)
+        inside = [m for m, mask in enumerate(tab.outside_masks) if not low & mask]
+        conn = ~inside_high[inside].any(axis=0)
+        connected += int(conn.sum())
+        on_set = np.multiply(ind, conv, out=tmp)
+        cols = np.flatnonzero(conn & _constant(on_set, k_high + k_low))
+        if not len(cols):
+            continue
+        c = conv[:, cols]
+        covered = (ind[:, cols] == 0) & (c > 0)
+        covered[0] = False
+        keep = cols[_constant(np.where(covered, c, 0), covered.sum(axis=0))]
+        found.append((prefixes[keep] << L) | low)
+    ids = np.sort(np.concatenate(found)) if found else np.zeros(0, dtype=np.int64)
+    return connected, ids
 
 
-def _scan_range(args) -> Tuple[int, int, List[int]]:
-    """Worker body: (moduli, lo, hi, use_aut) -> (connected, survivors, drg ids).
+def _scan_range(args) -> Tuple[int, int, List[Tuple[int, Tuple[int, ...]]]]:
+    """Worker body: (moduli, lo, hi, use_aut) -> (connected, survivors,
+    [(id, canonical form)] of the distance-regular sets), lo and hi being
+    multiples of 2^L.
 
-    Pure over immutable tables, so any static partition of the id space
-    yields the same merged result.
+    Pure over immutable tables, so any block-aligned partition of the id
+    space yields the same merged result.
     """
     moduli, lo, hi, use_aut = args
     tab = _tables(tuple(moduli))
     group, basis = tab.group, tab.basis
-    connected = 0
-    survivors = 0
-    drg_ids: List[int] = []
+    connected, ids = _screen(tab, lo, hi)
+    drg: List[Tuple[int, Tuple[int, ...]]] = []
     verdicts: Dict[Tuple[int, ...], bool] = {}
-    for start in range(lo, hi, SCAN_CHUNK):
-        ids = np.arange(start, min(start + SCAN_CHUNK, hi), dtype=np.int64)
-        conn_ok = np.ones(len(ids), dtype=bool)
-        for mask in tab.outside_masks:
-            conn_ok &= (ids & mask) != 0
-        connected += int(conn_ok.sum())
-        for sid in _screen_chunk(tab, ids):
-            sid = int(sid)
-            survivors += 1
-            indices = [i for j in range(tab.B) if sid >> j & 1 for i in basis[j]]
-            if use_aut:
-                canon = canonicalize_connection_set(group, indices)
-                verdict = verdicts.get(canon)
-                if verdict is None:
-                    graph = CayleyGraph(group, [group.from_index(i) for i in canon])
-                    verdict = verdicts[canon] = check_distance_regular(graph).ok
-            else:
-                graph = CayleyGraph(group, [group.from_index(i) for i in indices])
-                verdict = check_distance_regular(graph).ok
-            if verdict:
-                drg_ids.append(sid)
-    return connected, survivors, drg_ids
+    for sid in ids.tolist():
+        indices = [i for j in range(tab.B) if sid >> j & 1 for i in basis[j]]
+        if use_aut:
+            canon = canonicalize_connection_set(group, indices)
+            verdict = verdicts.get(canon)
+            if verdict is None:
+                graph = CayleyGraph(group, [group.from_index(i) for i in canon])
+                verdict = verdicts[canon] = check_distance_regular(graph).ok
+        else:
+            graph = CayleyGraph(group, [group.from_index(i) for i in indices])
+            verdict = check_distance_regular(graph).ok
+        if verdict:
+            drg.append((sid, canon if use_aut else canonicalize_connection_set(group, indices)))
+    return connected, len(ids), drg
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +390,11 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
             " raise max_subsets explicitly"
         )
     t0 = time.perf_counter()
-    workers = min(spec.workers, total)
-    bounds = [total * w // workers for w in range(workers + 1)]
+    # workers take whole blocks of 2^L ids, the unit of the Gray-code walk
+    L = _low_bits(len(basis))
+    blocks = total >> L
+    workers = min(spec.workers, blocks)
+    bounds = [(blocks * w // workers) << L for w in range(workers + 1)]
     jobs = [
         (group.moduli, bounds[w], bounds[w + 1], spec.use_aut_reduction)
         for w in range(workers)
@@ -359,12 +407,11 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
             results = list(pool.map(_scan_range, jobs))
     connected = sum(r[0] for r in results)
     screened = sum(r[1] for r in results)
-    drg_ids = sorted(i for r in results for i in r[2])
+    drg = sorted(pair for r in results for pair in r[2])
 
     by_canon: Dict[Tuple[int, ...], List[Tuple[GroupElement, ...]]] = {}
-    for sid in drg_ids:
+    for sid, canon in drg:
         indices = [i for j in range(len(basis)) if sid >> j & 1 for i in basis[j]]
-        canon = canonicalize_connection_set(group, indices)
         by_canon.setdefault(canon, []).append(_sorted_element_tuple(group, indices))
     records = []
     for canon in sorted(by_canon, key=lambda c: (len(c), c)):
@@ -406,7 +453,7 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
         total_sets=total,
         connected_sets=connected,
         screened_sets=screened,
-        drg_count=len(drg_ids),
+        drg_count=len(drg),
         records=tuple(records),
         families=tuple(sorted(fam_counts.items())),
         anomalies=tuple(rec for rec in records if rec.family.kind == "none"),

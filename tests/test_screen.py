@@ -1,0 +1,138 @@
+"""The Gray-code screen against a brute-force reference, over block-aligned
+partitions of the id space, and report bytes across worker counts."""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drgcayley import classify
+from drgcayley.classify import _set_of_mask, inverse_pair_basis
+from drgcayley.cli import run
+from drgcayley.errors import NotConnectedError
+from drgcayley.graphs import CayleyGraph, check_distance_regular
+from drgcayley.groups import make_group
+
+# every group of order <= 32 here with at most 2^13 connection sets
+CANDIDATES = [(n,) for n in range(1, 33)] + [
+    (2, 2), (4, 2), (2, 2, 2), (3, 3), (6, 2), (4, 4), (8, 2), (4, 2, 2),
+    (6, 3), (5, 5), (3, 3, 3), (9, 3), (10, 2), (12, 2), (6, 2, 2), (14, 2),
+]
+GROUPS = [m for m in CANDIDATES if len(inverse_pair_basis(make_group(m))) <= 13]
+
+
+@lru_cache(maxsize=None)
+def reference_screen(moduli):
+    """(connected count, survivor ids) over every mask, by brute force.
+
+    conv(S) is a direct convolution of the indicator on the group's
+    coordinate grid, connectivity is the closure of {0} under adding S,
+    and constancy is min == max over the set and over its coverage ring.
+    """
+    group = make_group(moduli)
+    basis = inverse_pair_basis(group)
+    n, shape = group.order, tuple(moduli)
+    ids = np.arange(1 << len(basis))
+    ind = np.zeros((len(ids), n), dtype=np.int64)
+    for j, orb in enumerate(basis):
+        ind[:, list(orb)] = (ids >> j & 1)[:, None]
+    coords = [group.from_index(i).coords for i in range(n)]
+    cell = np.ravel_multi_index(np.array(coords).T, shape)
+    axes = tuple(range(1, len(shape) + 1))
+
+    def grid(v):
+        out = np.zeros((len(ids), n), dtype=v.dtype)
+        out[:, cell] = v
+        return out.reshape((len(ids),) + shape)
+
+    def sumset_counts(a, b):
+        """[#{(x, y) : x in a, y in b, x + y = g}] per row."""
+        cube = grid(b)
+        total = sum(
+            a[:, x].reshape((-1,) + (1,) * len(shape)) * np.roll(cube, coords[x], axis=axes)
+            for x in range(n)
+        )
+        return total.reshape(len(ids), n)[:, cell]
+
+    conv = sumset_counts(ind, ind)
+    reach = ind.copy()
+    reach[:, group.index(group.zero)] = 1
+    for _ in range(n.bit_length()):
+        reach = (sumset_counts(reach, reach) > 0).astype(np.int64)
+    connected = reach.all(axis=1)
+
+    def constant(mask):
+        hi = np.where(mask, conv, -1).max(axis=1)
+        lo = np.where(mask, conv, n + 1).min(axis=1)
+        return ~mask.any(axis=1) | (hi == lo)
+
+    on = ind > 0
+    covered = ~on & (conv > 0)
+    covered[:, group.index(group.zero)] = False
+    keep = connected & constant(on) & constant(covered)
+    return int(connected.sum()), frozenset(ids[keep].tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_block_partitions_match_reference(data):
+    moduli = data.draw(st.sampled_from(GROUPS))
+    tab = classify._tables(moduli)
+    high = data.draw(st.integers(0, tab.B))
+    cuts = data.draw(st.lists(st.integers(0, 1 << high), max_size=4))
+    bounds = sorted({0, 1 << high, *cuts})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "HIGH_BITS", high)
+        L = classify._low_bits(tab.B)
+        ranges = [(lo << L, hi << L) for lo, hi in zip(bounds, bounds[1:])]
+        parts = [classify._scan_range((moduli, lo, hi, True)) for lo, hi in ranges]
+        ids = set()
+        for lo, hi in ranges:
+            ids.update(classify._screen(tab, lo, hi)[1].tolist())
+    connected, survivors = reference_screen(moduli)
+    assert sum(p[0] for p in parts) == connected
+    assert sum(p[1] for p in parts) == len(survivors)
+    assert ids == survivors
+    assert {sid for p in parts for sid, _ in p[2]} <= survivors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_screen_keeps_every_distance_regular_set(data):
+    moduli = data.draw(st.sampled_from(GROUPS + [(15, 3), (7, 7)]))
+    group = make_group(moduli)
+    tab = classify._tables(moduli)
+    mask = data.draw(st.integers(0, (1 << tab.B) - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "HIGH_BITS", data.draw(st.integers(max(tab.B - 13, 0), tab.B)))
+        L = classify._low_bits(tab.B)
+        lo = mask >> L << L
+        survivors = classify._screen(tab, lo, lo + (1 << L))[1]
+    try:
+        drg = check_distance_regular(CayleyGraph(group, _set_of_mask(group, tab.basis, mask))).ok
+    except NotConnectedError:
+        drg = False
+    if drg:
+        assert mask in survivors
+
+
+def test_unaligned_range_is_refused():
+    tab = classify._tables((15, 3))
+    with pytest.raises(classify.InvariantViolation):
+        classify._screen(tab, 1, 1 << tab.B)
+
+
+@pytest.mark.parametrize(
+    "group,jobs",
+    [("12,3", "3"), ("3", "3")],
+    ids=["uneven-block-split", "more-jobs-than-blocks"],
+)
+def test_report_bytes_do_not_depend_on_jobs(group, jobs, capsys):
+    out = []
+    for j in ("1", jobs):
+        assert run(["--format", "json", "classify", "--group", group, "--jobs", j]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+
