@@ -8,15 +8,16 @@ one per character chi_g(x) = zeta_m^{e(g,x)}.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInteger, euler_phi, _power_table
+from .cyclotomic import _INT64_SAFE, CyclotomicInteger, _power_table, _table_row_bound, euler_phi
 from .errors import InvariantViolation, SpecError
 from .groups import AbelianGroup, GroupElement
 
 MAX_FOURIER_ORDER = 512
+CHARACTER_CHUNK_ENTRIES = 1 << 18  # int64 entries per character_values temporary
 
 
 class AlgebraElement:
@@ -107,6 +108,56 @@ class AlgebraElement:
 # Fourier analysis
 
 
+def character_table(group: AbelianGroup) -> np.ndarray:
+    """table[g, x] = e(g, x), the exponent with chi_g(x) = zeta_m^e, m the
+    group exponent: one cached read-only (n, n) int32 matrix per group,
+    rows and columns in index order (it is symmetric)."""
+    table = group._cache.get("character_table")
+    if table is None:
+        m = group.exponent
+        coords = group.coords_matrix()
+        weights = np.array([m // n for n in group.moduli], dtype=np.int64)
+        table = ((coords * weights) @ coords.T % m).astype(np.int32)
+        table.setflags(write=False)
+        group._cache["character_table"] = table
+    return table  # type: ignore[return-value]
+
+
+def character_values(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> np.ndarray:
+    """values[g, i] = chi_g(N_i) = sum over x in classes[i] of chi_g(x), exact.
+
+    Returns the power-basis coordinates at the group exponent m as an
+    (n, r, phi(m)) array, one row per character in index order; the
+    classes need not cover the group.  Each value is the root-count
+    vector of its class under the character table times the power table,
+    in int64 when the bound CyclotomicInteger.from_root_counts uses rules
+    out overflow and in Python integers (object dtype) otherwise.
+    """
+    n, m = group.order, group.exponent
+    r = len(classes)
+    members = [np.asarray(cls, dtype=np.intp).reshape(-1) for cls in classes]
+    cols = np.concatenate(members) if members else np.zeros(0, dtype=np.intp)
+    # a (g, x) pair adds one to counts[g, class of x, e(g, x)]
+    labels = np.repeat(np.arange(r, dtype=np.intp) * m, [len(c) for c in members])
+    table = character_table(group)
+    power = _power_table(m)[:m]
+    row_bound = _table_row_bound(m)
+    step = max(1, CHARACTER_CHUNK_ENTRIES // max(r * m, cols.size, 1))
+    blocks = []
+    for lo in range(0, n, step):
+        rows = table[lo : lo + step]
+        k = rows.shape[0]
+        key = rows[:, cols] + labels
+        key += np.arange(k, dtype=np.intp)[:, None] * (r * m)
+        counts = np.bincount(key.ravel(), minlength=k * r * m).reshape(k * r, m)
+        if power.dtype == object or int(counts.max(initial=0)) * row_bound * m >= _INT64_SAFE:
+            vals = counts.astype(object) @ power.astype(object)
+        else:
+            vals = counts @ power
+        blocks.append(vals.reshape(k, r, -1))
+    return np.concatenate(blocks)
+
+
 def character_value(group: AbelianGroup, g: GroupElement, x: GroupElement) -> CyclotomicInteger:
     """chi_g(x) as an exact root of unity at the group exponent."""
     return CyclotomicInteger.from_root_power(group.exponent, group.pairing_exponent(g, x))
@@ -149,11 +200,10 @@ def fourier_inverse(group: AbelianGroup, values: Sequence[CyclotomicInteger]) ->
         if m % cv.conductor != 0:
             raise SpecError("character value conductor does not divide the group exponent")
         coeff_rows[gi] = np.array(cv.lift(m).coeffs, dtype=object)
-    tab = _power_table(m)[:m]
+    table = character_table(group)
     out = np.zeros(n, dtype=np.int64)
-    els = group.elements()
-    for xi, x in enumerate(els):
-        tvec = (-group.pairing_row(x)) % m  # exponent of chi_g(-x) per g
+    for xi in range(n):
+        tvec = (-table[xi]) % m  # exponent of chi_g(-x) per g
         counts = np.zeros(m, dtype=object)
         for i in range(phi):
             col = coeff_rows[:, i]
@@ -185,7 +235,7 @@ def fourier_roundtrip_batch(group: AbelianGroup, vectors: Sequence[Sequence[int]
         raise SpecError(f"batched roundtrip limited to order {MAX_FOURIER_ORDER}")
     m = group.exponent
     batch = arr.shape[0]
-    pairing = np.stack([group.pairing_row(g) for g in group.elements()])
+    pairing = character_table(group)
     eye = np.eye(m, dtype=np.int64)
     counts = np.empty((batch, n, m), dtype=np.int64)
     for gi in range(n):
@@ -202,15 +252,3 @@ def fourier_roundtrip_batch(group: AbelianGroup, vectors: Sequence[Sequence[int]
     if np.any(coords[:, :, 1:]) or np.any(coords[:, :, 0] % n):
         raise SpecError("values are not the Fourier transform of an integer vector")
     return coords[:, :, 0] // n
-
-
-def eigenvalue_exponent_counts(group: AbelianGroup, set_indicator: np.ndarray) -> Dict[int, np.ndarray]:
-    """For each character index, the vector over exponents e of
-    #{s in S : e(g, s) = e}; the exact eigenvalue data of Cay(G, S)."""
-    m = group.exponent
-    sel = np.flatnonzero(set_indicator)
-    out: Dict[int, np.ndarray] = {}
-    for gi, g in enumerate(group.elements()):
-        row = group.pairing_row(g)[sel]
-        out[gi] = np.bincount(row, minlength=m)
-    return out

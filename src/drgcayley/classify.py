@@ -36,7 +36,6 @@ from .graphs import (
     Eigensystem,
     FamilyLabel,
     IntersectionArray,
-    _is_odd_prime,
     check_distance_regular,
     detect_family,
     imprimitivity,
@@ -47,6 +46,7 @@ from .groups import (
     GroupElement,
     canonicalize_connection_set,
     format_element,
+    is_prime,
     make_group,
     maximal_subgroups,
     orbit_size,
@@ -613,7 +613,7 @@ def nonexistence_report(
     else:
         report = _run_spec(source, workers, use_aut_reduction, max_subsets)
     group = report.group
-    if len(group.moduli) != 2 or not _is_odd_prime(group.moduli[1]) or group.moduli[0] % group.moduli[1]:
+    if len(group.moduli) != 2 or group.moduli[1] == 2 or not is_prime(group.moduli[1]) or group.moduli[0] % group.moduli[1]:
         raise SpecError("nonexistence assertions apply to Z_n + Z_p with p an odd prime dividing n")
     exempt = group.moduli[0] == group.moduli[1]
     for rec in report.records:

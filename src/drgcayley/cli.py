@@ -255,12 +255,13 @@ def _cmd_krein(args) -> Payload:
 
 def _cmd_dual(args) -> Payload:
     group, graph, inputs = _graph_from(args)
-    ring = distance_module(graph)
+    check = check_distance_regular(graph)
+    ring = distance_module(graph, check)
     dual = dual_schur_ring(ring)
     orderings = q_polynomial_orderings(ring)
     duals = []
     for tau in orderings:
-        dgraph = dual_graph(graph, tau)
+        dgraph = dual_graph(graph, tau, check)
         dres = check_distance_regular(dgraph)
         if not dres.ok:
             raise InvariantViolation(f"dual graph under {tau} is not distance-regular")

@@ -22,6 +22,7 @@ from .groups import (
     GroupElement,
     Subgroup,
     all_subgroups,
+    is_prime,
     make_group,
     subgroups_of_order,
 )
@@ -115,9 +116,7 @@ def order_p_subgroups(p: int) -> List[Subgroup]:
 
 
 def _check_line_subgroups(p: int, subgroups: Sequence[Subgroup], max_r: int) -> AbelianGroup:
-    from .graphs import _is_odd_prime
-
-    if not _is_odd_prime(p):
+    if p == 2 or not is_prime(p):
         raise SpecError("order must be an odd prime")
     r = len(subgroups)
     if not 2 <= r <= max_r:
@@ -201,9 +200,7 @@ def td_from_subgroups(p: int, subgroups: Sequence[Subgroup]) -> TransversalDesig
 
 
 def paley(q: int) -> Construction:
-    from .graphs import _is_odd_prime
-
-    if not _is_odd_prime(q) or q % 4 != 1:
+    if not is_prime(q) or q % 4 != 1:
         raise SpecError("Paley graph needs a prime congruent to 1 mod 4")
     group = make_group([q])
     s = sorted({group.element([pow(x, 2, q)]) for x in range(1, q)})
@@ -251,12 +248,10 @@ def _sorted_entries(group: AbelianGroup, sets) -> List[CatalogEntry]:
 
 def expected_catalog(group: AbelianGroup) -> List[CatalogEntry]:
     """Every connection set the classification should report over Z_n + Z_p."""
-    from .graphs import _is_odd_prime
-
     if len(group.moduli) != 2:
         raise SpecError("catalog group must be given as Z_n + Z_p")
     n, p = group.moduli
-    if not _is_odd_prime(p):
+    if p == 2 or not is_prime(p):
         raise SpecError("second invariant must be an odd prime")
     if n % p:
         raise SpecError("catalog needs p dividing n")
@@ -293,9 +288,7 @@ def expected_circulant_catalog(n: int) -> List[CatalogEntry]:
         if 1 < h.order < n:
             sets.append(frozenset(e for e in elements if e not in h.element_set()))
     sets.extend(crown_connection_sets(group))
-    from .graphs import _is_odd_prime
-
-    if _is_odd_prime(n) and n % 4 == 1:
+    if is_prime(n) and n % 4 == 1:
         squares = frozenset(group.element([pow(x, 2, n)]) for x in range(1, n))
         nonsquares = frozenset(e for e in elements if not e.is_zero and e not in squares)
         sets.append(squares)

@@ -37,6 +37,7 @@ from .groups import (
     Subgroup,
     format_element,
     generated_subgroup,
+    is_prime,
     make_group,
     subgroup_from_elements,
 )
@@ -44,17 +45,6 @@ from .groups import (
 
 # ---------------------------------------------------------------------------
 # Small number-theoretic helpers
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _prime_factors(n: int) -> Tuple[int, ...]:
@@ -566,7 +556,7 @@ def ma_decompose(group: AbelianGroup, element: AlgebraElement, p: int,
     contributes its least residue to X2 (on the minimal-index coset
     representative) and the remainder to X1.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise SpecError("p must be prime")
     if a < 1:
         raise SpecError("the exponent a must be positive")
@@ -644,7 +634,7 @@ class DirectionSet:
 
 
 def _normalize_points(p: int, points) -> List[Tuple[int, int]]:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise SpecError("direction sets live over prime fields")
     pts = set()
     for w in points:
@@ -916,7 +906,7 @@ def level_set_certificate(graph: CayleyGraph, psi_index: int) -> CertificateOutc
     if len(group.moduli) < 2:
         return _unmet("group does not split off a fiber coordinate")
     r = group.moduli[-1]
-    if not _is_prime(r):
+    if not is_prime(r):
         return _unmet(f"fiber size {r} is not prime")
     if not 1 <= int(psi_index) < r:
         raise SpecError("psi must index a nontrivial fiber character")

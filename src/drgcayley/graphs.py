@@ -14,6 +14,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from .algebra import character_values
 from .cyclotomic import CyclotomicInteger
 from .errors import InvariantViolation, NotConnectedError, PrecisionError, SpecError
 from .groups import (
@@ -24,6 +25,7 @@ from .groups import (
     atoms,
     format_element,
     generated_subgroup,
+    is_prime,
     quotient_group,
     subgroup_as_group,
     subgroup_from_elements,
@@ -110,16 +112,6 @@ class DistancePartition:
     @property
     def diameter(self) -> int:
         return len(self.classes) - 1
-
-    def class_elements(self, i: int) -> Tuple[GroupElement, ...]:
-        els = self.group.elements()
-        return tuple(els[j] for j in self.classes[i])
-
-    def distance_vector(self) -> np.ndarray:
-        dist = np.full(self.group.order, -1, dtype=np.int64)
-        for i, cls in enumerate(self.classes):
-            dist[list(cls)] = i
-        return dist
 
 
 def distance_partition(graph: CayleyGraph) -> DistancePartition:
@@ -352,20 +344,13 @@ def spectrum(graph: CayleyGraph, dps: int = 40) -> Eigensystem:
     import mpmath
 
     g = graph.group
-    m = g.exponent
-    sel = graph.connection_indices()
     buckets: Dict[Tuple[int, ...], List[int]] = {}
-    reps: Dict[Tuple[int, ...], CyclotomicInteger] = {}
-    for gi, ge in enumerate(g.elements()):
-        counts = np.bincount(g.pairing_row(ge)[sel], minlength=m) if sel.size else np.zeros(m, dtype=np.int64)
-        val = CyclotomicInteger.from_root_counts(m, counts)
-        key = val.coeffs
-        buckets.setdefault(key, []).append(gi)
-        reps.setdefault(key, val)
+    for gi, key in enumerate(character_values(g, [graph.connection_indices()])[:, 0].tolist()):
+        buckets.setdefault(tuple(key), []).append(gi)
     entries = []
     with mpmath.workdps(dps):
         for key, chars in buckets.items():
-            val = reps[key]
+            val = CyclotomicInteger(g.exponent, key)
             if val != val.conjugate():
                 raise InvariantViolation("eigenvalue of an inverse-closed set must be real")
             z = val.numeric(dps)
@@ -670,30 +655,19 @@ def detect_family(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Famil
         return FamilyLabel("crown", (("m", n // 2),))
     if graph.degree == 2 and n >= 3:
         return FamilyLabel("cycle", (("n", n),))
-    if len(g.moduli) == 2 and g.moduli[0] == g.moduli[1] and _is_odd_prime(g.moduli[0]):
+    if len(g.moduli) == 2 and g.moduli[0] == g.moduli[1] and g.moduli[0] != 2 and is_prime(g.moduli[0]):
         p = g.moduli[0]
         closed = conn | {g.zero}
         full = [h for h in all_subgroups(g) if h.order == p and set(h.elements) <= closed]
         covered = {e for h in full for e in h.elements}
         if covered == closed and 2 <= len(full) <= p - 1:
             return FamilyLabel("union-of-order-p-subgroups", (("p", p), ("r", len(full))))
-    if _is_odd_prime(n) and n % 4 == 1:
+    if is_prime(n) and n % 4 == 1:
         residues = frozenset(g.element([pow(x, 2, n)]) for x in range(1, n))
         nonres = frozenset(e for e in g.elements() if not e.is_zero and e not in residues)
         if conn == residues or conn == nonres:
             return FamilyLabel("paley", (("n", n),))
     return FamilyLabel("none")
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -754,15 +728,6 @@ def decode_graph6(text: str) -> np.ndarray:
             A[i, j] = A[j, i] = bits[pos]
             pos += 1
     return A
-
-
-def export_adjacency(graph: CayleyGraph) -> dict:
-    return {
-        "group": str(graph.group),
-        "connection": [format_element(s) for s in sorted(graph.connection)],
-        "order": graph.order,
-        "adjacency": graph.adjacency().tolist(),
-    }
 
 
 def graph_report(graph: CayleyGraph, dps: int = 40) -> dict:

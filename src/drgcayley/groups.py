@@ -309,23 +309,30 @@ class Subgroup:
 
 
 def generated_subgroup(group: AbelianGroup, gens: Iterable[GroupElement]) -> Subgroup:
-    """Closure of a generating set, elements sorted in index order."""
+    """Closure of a generating set, elements sorted in index order.
+
+    H grows one generator g at a time: H + <g> is the disjoint union of
+    the cosets H + kg for k below the first multiple of g already in H,
+    so each step is one gather of the addition table."""
     gens = tuple(gens)
     for g in gens:
         group._check_member(g)
-    seen = {group.zero}
-    frontier = [group.zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x + g
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    elems = tuple(sorted(seen, key=lambda e: e.coords))
-    return Subgroup(group, elems, gens)
+    add = group.add_table()
+    member = np.zeros(group.order, dtype=bool)
+    member[0] = True  # index 0 is the identity
+    found = np.zeros(1, dtype=np.intp)
+    for g in gens:
+        gi = group.index(g)
+        reps = [0]
+        x = gi
+        while not member[x]:
+            reps.append(x)
+            x = int(add[x, gi])
+        if len(reps) > 1:
+            found = add[np.ix_(found, reps)].ravel()
+            member[found] = True
+    els = group.elements()
+    return Subgroup(group, tuple(els[i] for i in np.flatnonzero(member)), gens)
 
 
 def subgroup_from_elements(group: AbelianGroup, elements: Iterable[GroupElement]) -> Subgroup:
@@ -403,14 +410,14 @@ def subgroups_of_order(group: AbelianGroup, k: int) -> Tuple[Subgroup, ...]:
 
 def maximal_subgroups(group: AbelianGroup) -> Tuple[Subgroup, ...]:
     """Subgroups of prime index (the maximal ones in an abelian group)."""
-    primes = {p for p in range(2, group.order + 1) if group.order % p == 0 and _is_prime(p)}
+    primes = {p for p in range(2, group.order + 1) if group.order % p == 0 and is_prime(p)}
     out = []
     for p in primes:
         out.extend(subgroups_of_order(group, group.order // p))
     return tuple(out)
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < 4:

@@ -10,19 +10,21 @@ Krein tensor for integral schemes.
 
 from __future__ import annotations
 
-import itertools as it
+import functools as ft
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInteger
+from .algebra import character_values
 from .errors import InvariantViolation, SpecError
 from .graphs import CayleyGraph, DRGCheck, check_distance_regular
 from .groups import AbelianGroup, GroupElement, generated_subgroup
 
 Tensor = Tuple[Tuple[Tuple[int, ...], ...], ...]
+
+DUAL_CACHE_SIZE = 64  # dual rings kept by dual_schur_ring
 
 
 @dataclass(frozen=True)
@@ -78,19 +80,43 @@ class SchurCheck:
     witness: Optional[dict] = None
 
 
-def _class_indicators(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> np.ndarray:
-    mat = np.zeros((len(classes), group.order), dtype=np.int64)
-    for i, cls in enumerate(classes):
-        mat[i, list(cls)] = 1
-    return mat
+def structure_constants(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), where lo[i, j, k] and hi[i, j, k] are the least and the
+    greatest coefficient of N_i N_j on class k, for classes that
+    partition the group.  The partition spans a subring iff lo == hi,
+    and then hi[i, j, k] = p_{ij}^k.
+
+    Every pair (t, g) adds one to (N_i N_j)[t] for i the class of g and
+    j the class of t - g, so one gather of the subtraction table and one
+    bincount give all products, with t counted at its position in the
+    class-ordered element list; min/max reduceat over the class segments
+    then reads off lo and hi.  Peak memory is one (n, n) and one
+    (r, r, n) integer array.
+    """
+    n = group.order
+    r = len(classes)
+    order = np.concatenate([np.asarray(cls, dtype=np.intp) for cls in classes])
+    sizes = [len(cls) for cls in classes]
+    label = np.empty(n, dtype=np.intp)
+    label[order] = np.repeat(np.arange(r, dtype=np.intp), sizes)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n, dtype=np.intp)
+    key = label[group.sub_table()]  # key[t, g] = class of t - g
+    key += label * r
+    key *= n
+    key += position[:, None]
+    conv = np.bincount(key.ravel(), minlength=r * r * n).reshape(r, r, n)
+    starts = np.cumsum([0] + sizes[:-1])
+    return np.minimum.reduceat(conv, starts, axis=2), np.maximum.reduceat(conv, starts, axis=2)
 
 
 def verify_schur_ring(group: AbelianGroup, partition: Sequence[Sequence[int]]) -> SchurCheck:
     """Check the three Schur-ring axioms by exact convolution and return
-    the ring with its full structure tensor, or the first violation."""
+    the ring with its full structure tensor, or the first violation in
+    (i, j, k) order."""
     classes = [tuple(sorted(int(x) for x in cls)) for cls in partition]
     flat = sorted(x for cls in classes for x in cls)
-    if flat != list(range(group.order)):
+    if flat != list(range(group.order)) or not all(classes):
         return SchurCheck(False, None, {"reason": "not a partition of the group"})
     zero = group.index(group.zero)
     zi = next(i for i, cls in enumerate(classes) if zero in cls)
@@ -103,24 +129,15 @@ def verify_schur_ring(group: AbelianGroup, partition: Sequence[Sequence[int]]) -
         image = {int(neg[x]) for x in cls}
         if image not in class_sets:
             return SchurCheck(False, None, {"reason": "inverse image of a class is not a class", "class": i})
-    ind = _class_indicators(group, classes)
-    sub = group.sub_table()
-    r = len(classes)
-    tensor: List[List[List[int]]] = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for i in range(r):
-        conv_rows = ind[:, sub] @ ind[i]  # conv_rows[j] = N_i * N_j as a vector
-        for j in range(r):
-            prod = conv_rows[j]
-            for k in range(r):
-                vals = prod[list(classes[k])]
-                lo, hi = int(vals.min()), int(vals.max())
-                if lo != hi:
-                    return SchurCheck(
-                        False, None, {"i": i, "j": j, "k": k, "min": lo, "max": hi}
-                    )
-                tensor[i][j][k] = hi
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
-    return SchurCheck(True, SchurRing(group, tuple(classes), frozen))
+    lo, hi = structure_constants(group, classes)
+    bad = np.argwhere(lo != hi)
+    if bad.size:
+        i, j, k = (int(x) for x in bad[0])
+        return SchurCheck(
+            False, None, {"i": i, "j": j, "k": k, "min": int(lo[i, j, k]), "max": int(hi[i, j, k])}
+        )
+    tensor = tuple(tuple(tuple(row) for row in plane) for plane in hi.tolist())
+    return SchurCheck(True, SchurRing(group, tuple(classes), tensor))
 
 
 def distance_module(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> SchurRing:
@@ -132,42 +149,39 @@ def distance_module(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Sch
         raise SpecError(f"graph is not distance-regular: {check.witness}")
     res = verify_schur_ring(graph.group, check.partition.classes)
     if not res.ok:
-        raise InvariantViolation(f"distance partition of a DRG failed the Schur axioms: {res.witness}")
+        raise InvariantViolation(
+            f"distance partition of a DRG failed the Schur axioms: {res.witness}", witness=res.witness
+        )
     return res.ring
 
 
-def character_class_vector(
-    group: AbelianGroup, classes: Sequence[Sequence[int]], gi: int
-) -> Tuple[Tuple[int, ...], ...]:
-    """Exact key: coefficients of chi_g(N_i) for every class i."""
-    m = group.exponent
-    g = group.elements()[gi]
-    row = group.pairing_row(g)
-    key = []
-    for cls in classes:
-        counts = np.bincount(row[list(cls)], minlength=m)
-        key.append(CyclotomicInteger.from_root_counts(m, counts).coeffs)
-    return tuple(key)
-
-
 def dual_schur_ring(ring: SchurRing) -> SchurRing:
-    """Schur ring on character-value classes; rank must be preserved."""
-    group = ring.group
-    buckets: Dict[Tuple, List[int]] = {}
-    for gi in range(group.order):
-        buckets.setdefault(character_class_vector(group, ring.classes, gi), []).append(gi)
-    if len(buckets) != ring.rank:
+    """Schur ring on character-value classes; rank must be preserved.
+    Computed once per distinct (group, classes) and then shared."""
+    return _dual_ring(ring.group, ring.classes)
+
+
+@ft.lru_cache(maxsize=DUAL_CACHE_SIZE)
+def _dual_ring(group: AbelianGroup, classes: Tuple[Tuple[int, ...], ...]) -> SchurRing:
+    buckets: Dict[Tuple[int, ...], List[int]] = {}
+    for gi, key in enumerate(character_values(group, classes).reshape(group.order, -1).tolist()):
+        buckets.setdefault(tuple(key), []).append(gi)
+    if len(buckets) != len(classes):
         raise InvariantViolation(
-            f"dual rank {len(buckets)} differs from primal rank {ring.rank}"
+            f"dual rank {len(buckets)} differs from primal rank {len(classes)}",
+            witness={"rank": len(classes), "dual_rank": len(buckets)},
         )
     zero = group.index(group.zero)
-    classes = sorted(
+    dual_classes = sorted(
         (tuple(sorted(v)) for v in buckets.values()),
         key=lambda cls: (zero not in cls, len(cls), cls),
     )
-    res = verify_schur_ring(group, classes)
+    res = verify_schur_ring(group, dual_classes)
     if not res.ok:
-        raise InvariantViolation(f"character classes failed the Schur axioms: {res.witness}")
+        raise InvariantViolation(
+            f"character classes failed the Schur axioms: {res.witness}",
+            witness={"classes": [list(c) for c in dual_classes], **res.witness},
+        )
     return res.ring
 
 
@@ -188,12 +202,15 @@ def krein_parameters(ring: SchurRing) -> KreinTensor:
     non-negativity and integrality are asserted, not assumed."""
     if not ring.is_symmetric:
         raise SpecError("Krein parameters require a symmetric Schur ring")
-    dual = dual_schur_ring(ring)
-    for plane in dual.tensor:
-        for row in plane:
-            if any(x < 0 for x in row):
-                raise InvariantViolation("negative Krein parameter")
-    return KreinTensor(dual.tensor)
+    q = dual_schur_ring(ring).tensor
+    for i, plane in enumerate(q):
+        for j, row in enumerate(plane):
+            for k, x in enumerate(row):
+                if x < 0:
+                    raise InvariantViolation(
+                        "negative Krein parameter", witness={"i": i, "j": j, "k": k, "q": x}
+                    )
+    return KreinTensor(q)
 
 
 def krein_via_eigenmatrix(ring: SchurRing) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
@@ -204,18 +221,11 @@ def krein_via_eigenmatrix(ring: SchurRing) -> Tuple[Tuple[Tuple[Fraction, ...], 
     group = ring.group
     n = group.order
     dual = dual_schur_ring(ring)
-    reps = [cls[0] for cls in dual.classes]
+    values = character_values(group, ring.classes)[[cls[0] for cls in dual.classes]]
+    if np.any(values[:, :, 1:] != 0):
+        raise SpecError("eigenmatrix route requires an integral scheme")
+    P = [[Fraction(int(x)) for x in row] for row in values[:, :, 0].tolist()]
     r = ring.rank
-    P: List[List[Fraction]] = []
-    for gi in reps:
-        vec = character_class_vector(group, ring.classes, gi)
-        row = []
-        for coeffs in vec:
-            val = CyclotomicInteger(group.exponent, coeffs)
-            if not val.is_rational_integer:
-                raise SpecError("eigenmatrix route requires an integral scheme")
-            row.append(Fraction(val.as_int()))
-        P.append(row)
     mults = [len(cls) for cls in dual.classes]
     sizes = [Fraction(len(cls)) for cls in ring.classes]
     out = []
@@ -235,16 +245,14 @@ def krein_via_eigenmatrix(ring: SchurRing) -> Tuple[Tuple[Tuple[Fraction, ...], 
 # polynomial orderings and dual graphs
 
 
-def _ordering_ok(tensor: Tensor, tau: Sequence[int]) -> bool:
-    d = len(tensor) - 1
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for k in range(d + 1):
-                if tensor[tau[i]][tau[j]][tau[k]] != 0 and k > i + j:
-                    return False
-            if i + j <= d and tensor[tau[i]][tau[j]][tau[i + j]] == 0:
-                return False
-    return True
+def _ordering_ok(tensor: np.ndarray, tau: Sequence[int]) -> bool:
+    """Under tau, entries vanish above the triangle (k > i + j) and the
+    entries on it (k = i + j <= d) do not."""
+    t = tensor[np.ix_(tau, tau, tau)]
+    idx = np.arange(len(tau))
+    diag = idx[:, None] + idx[None, :]
+    i, j = np.nonzero(diag < len(tau))
+    return not t[idx > diag[:, :, None]].any() and bool(t[i, j, diag[i, j]].all())
 
 
 def _polynomial_orderings(tensor: Tensor) -> List[Tuple[int, ...]]:
@@ -256,6 +264,7 @@ def _polynomial_orderings(tensor: Tensor) -> List[Tuple[int, ...]]:
     d = len(tensor) - 1
     if d == 0:
         return [(0,)]
+    arr = np.array(tensor, dtype=np.int64)
     out = []
     for t1 in range(1, d + 1):
         tau = [0, t1]
@@ -265,7 +274,7 @@ def _polynomial_orderings(tensor: Tensor) -> List[Tuple[int, ...]]:
             if len(nxt) != 1:
                 break
             tau.append(nxt[0])
-        if len(tau) == d + 1 and _ordering_ok(tensor, tau):
+        if len(tau) == d + 1 and _ordering_ok(arr, tau):
             out.append(tuple(tau))
     return out
 
@@ -300,22 +309,36 @@ def dual_graph(graph: CayleyGraph, tau: Sequence[int], check: Optional[DRGCheck]
     conn = [els[i] for i in dual.classes[tau[1]]]
     dgraph = CayleyGraph(graph.group, conn)
     dcheck = check_distance_regular(dgraph)
+    where = {"ordering": list(tau)}
     if not dcheck.ok:
-        raise InvariantViolation("dual graph failed the distance-regularity recheck")
+        raise InvariantViolation(
+            "dual graph failed the distance-regularity recheck", witness={**where, **dcheck.witness}
+        )
     if dcheck.partition.diameter != ring.d:
-        raise InvariantViolation("dual graph diameter differs from the scheme rank")
+        raise InvariantViolation(
+            "dual graph diameter differs from the scheme rank",
+            witness={**where, "diameter": dcheck.partition.diameter, "expected": ring.d},
+        )
     for i in range(ring.d + 1):
         if set(dcheck.partition.classes[i]) != set(dual.classes[tau[i]]):
-            raise InvariantViolation("dual graph distance classes differ from the dual classes")
-    q = krein_parameters(ring).q
-    dring = distance_module(dgraph, dcheck)
-    for i in range(ring.d + 1):
-        for j in range(ring.d + 1):
-            for k in range(ring.d + 1):
-                if dring.tensor[i][j][k] != q[tau[i]][tau[j]][tau[k]]:
-                    raise InvariantViolation(
-                        "dual graph intersection numbers differ from the Krein tensor"
-                    )
+            raise InvariantViolation(
+                "dual graph distance classes differ from the dual classes",
+                witness={
+                    **where,
+                    "distance": i,
+                    "expected": sorted(dual.classes[tau[i]]),
+                    "found": sorted(dcheck.partition.classes[i]),
+                },
+            )
+    q = np.array(krein_parameters(ring).q, dtype=np.int64)[np.ix_(tau, tau, tau)]
+    p = np.array(distance_module(dgraph, dcheck).tensor, dtype=np.int64)
+    bad = np.argwhere(p != q)
+    if bad.size:
+        i, j, k = (int(x) for x in bad[0])
+        raise InvariantViolation(
+            "dual graph intersection numbers differ from the Krein tensor",
+            witness={**where, "i": i, "j": j, "k": k, "expected": int(q[i, j, k]), "found": int(p[i, j, k])},
+        )
     return dgraph
 
 

@@ -312,3 +312,35 @@ def test_quotient_is_homomorphism(gi, data):
     a, b = g.from_index(i), g.from_index(j)
     assert proj(a + b) == proj(a) + proj(b)
     assert (proj(a) == q.zero) == (a in h)
+
+
+def _bfs_closure(group, gens):
+    """Reference: breadth-first closure of {0} under adding generators."""
+    seen = {group.zero}
+    frontier = [group.zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = x + g
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda e: e.coords))
+
+
+UP_TO_64 = [(n,) for n in (1, 2, 7, 12, 30, 32, 49, 64)] + [
+    (2, 2), (6, 2), (4, 4), (3, 3, 3), (8, 8), (2, 2, 2, 2, 2, 2), (4, 2, 2, 2), (7, 7), (9, 3), (15, 3), (6, 6),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_generated_subgroup_matches_bfs_closure(data):
+    group = make_group(data.draw(st.sampled_from(UP_TO_64)))
+    idx = data.draw(st.lists(st.integers(0, group.order - 1), max_size=6))
+    gens = [group.from_index(i) for i in idx]
+    sub = generated_subgroup(group, gens)
+    assert sub.elements == _bfs_closure(group, gens)
+    assert sub.generators == tuple(gens)

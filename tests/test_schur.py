@@ -1,11 +1,22 @@
 import itertools as it
+import json
+from typing import List, Sequence, Tuple
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from drgcayley import algebra, schur
+from drgcayley.algebra import character_values
+from drgcayley.cli import run
+from drgcayley.cyclotomic import CyclotomicInteger, euler_phi
 from drgcayley.errors import InvariantViolation, SpecError
-from drgcayley.graphs import CayleyGraph, check_distance_regular, spectrum
-from drgcayley.groups import atoms, make_group
+from drgcayley.graphs import CayleyGraph, check_distance_regular, distance_partition, spectrum
+from drgcayley.groups import AbelianGroup, atoms, make_group
 from drgcayley.schur import (
+    SchurCheck,
+    SchurRing,
     distance_module,
     dual_graph,
     dual_schur_ring,
@@ -50,6 +61,7 @@ def test_verify_rejects_non_partition():
     g = make_group([5])
     assert not verify_schur_ring(g, [[0], [1, 1, 2, 3, 4]]).ok
     assert not verify_schur_ring(g, [[0, 1], [2, 3, 4]]).ok  # identity class too big
+    assert verify_schur_ring(g, [[0], [1, 2, 3, 4], []]).witness == {"reason": "not a partition of the group"}
 
 
 def test_atom_partition_is_schur_ring():
@@ -241,3 +253,210 @@ def test_dual_graph_rejects_bad_ordering():
         dual_graph(srg942(), (0, 1))  # wrong length for a rank-3 module
     with pytest.raises(SpecError):
         dual_graph(srg942(), (1, 0, 2))  # does not fix the identity class
+
+
+# ---------------------------------------------------------------------------
+# the batched kernels against the per-triple and per-character loops they
+# replaced, kept here verbatim as reference oracles
+
+
+def _class_indicators(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> np.ndarray:
+    mat = np.zeros((len(classes), group.order), dtype=np.int64)
+    for i, cls in enumerate(classes):
+        mat[i, list(cls)] = 1
+    return mat
+
+
+def reference_verify_schur_ring(group: AbelianGroup, partition: Sequence[Sequence[int]]) -> SchurCheck:
+    """Check the three Schur-ring axioms by exact convolution and return
+    the ring with its full structure tensor, or the first violation."""
+    classes = [tuple(sorted(int(x) for x in cls)) for cls in partition]
+    flat = sorted(x for cls in classes for x in cls)
+    if flat != list(range(group.order)):
+        return SchurCheck(False, None, {"reason": "not a partition of the group"})
+    zero = group.index(group.zero)
+    zi = next(i for i, cls in enumerate(classes) if zero in cls)
+    if classes[zi] != (zero,):
+        return SchurCheck(False, None, {"reason": "the identity class is not {0}"})
+    classes.insert(0, classes.pop(zi))
+    neg = group.neg_table()
+    class_sets = [set(cls) for cls in classes]
+    for i, cls in enumerate(classes):
+        image = {int(neg[x]) for x in cls}
+        if image not in class_sets:
+            return SchurCheck(False, None, {"reason": "inverse image of a class is not a class", "class": i})
+    ind = _class_indicators(group, classes)
+    sub = group.sub_table()
+    r = len(classes)
+    tensor: List[List[List[int]]] = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i in range(r):
+        conv_rows = ind[:, sub] @ ind[i]  # conv_rows[j] = N_i * N_j as a vector
+        for j in range(r):
+            prod = conv_rows[j]
+            for k in range(r):
+                vals = prod[list(classes[k])]
+                lo, hi = int(vals.min()), int(vals.max())
+                if lo != hi:
+                    return SchurCheck(
+                        False, None, {"i": i, "j": j, "k": k, "min": lo, "max": hi}
+                    )
+                tensor[i][j][k] = hi
+    frozen = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
+    return SchurCheck(True, SchurRing(group, tuple(classes), frozen))
+
+
+def reference_character_class_vector(
+    group: AbelianGroup, classes: Sequence[Sequence[int]], gi: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """Exact key: coefficients of chi_g(N_i) for every class i."""
+    m = group.exponent
+    g = group.elements()[gi]
+    row = group.pairing_row(g)
+    key = []
+    for cls in classes:
+        counts = np.bincount(row[list(cls)], minlength=m)
+        key.append(CyclotomicInteger.from_root_counts(m, counts).coeffs)
+    return tuple(key)
+
+
+# every abelian group of order <= 32 presented by its invariant factors,
+# plus a few other presentations
+SMALL_GROUPS = [(n,) for n in range(1, 33)] + [
+    (2, 2), (4, 2), (2, 2, 2), (3, 3), (6, 2), (4, 4), (8, 2), (4, 2, 2), (2, 2, 2, 2),
+    (6, 3), (5, 5), (3, 3, 3), (9, 3), (10, 2), (12, 2), (6, 2, 2), (14, 2), (16, 2),
+    (8, 4), (8, 2, 2), (4, 4, 2), (4, 2, 2, 2), (2, 2, 2, 2, 2), (2, 3), (3, 2, 5),
+]
+
+
+def _orbits(group):
+    neg = group.neg_table()
+    return sorted({tuple(sorted({i, int(neg[i])})) for i in range(1, group.order)})
+
+
+@st.composite
+def _partitions(draw):
+    """A group and a random partition of it whose identity class is {0}
+    (rarely not), mostly inverse closed; most are not Schur rings."""
+    group = make_group(draw(st.sampled_from(SMALL_GROUPS)))
+    pieces = _orbits(group)
+    if draw(st.sampled_from([False, False, False, True])):
+        pieces = [(i,) for orb in pieces for i in orb]
+    k = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=len(pieces), max_size=len(pieces)))
+    classes = [[x for piece, lab in zip(pieces, labels) if lab == c for x in piece] for c in set(labels)]
+    classes = [c for c in classes if c] + [[0]]
+    if len(classes) > 1 and draw(st.sampled_from([False] * 9 + [True])):
+        classes[0] = classes[0] + classes.pop()  # identity class too big
+    order = draw(st.permutations(range(len(classes))))
+    return group, [classes[i] for i in order]
+
+
+@st.composite
+def _connected_sets(draw):
+    """A group and a random inverse-closed connection set generating it."""
+    group = make_group(draw(st.sampled_from(SMALL_GROUPS[1:])))
+    orbits = _orbits(group)
+    chosen = draw(st.lists(st.sampled_from(orbits), min_size=1, unique=True))
+    graph = CayleyGraph(group, [group.from_index(i) for orb in chosen for i in orb])
+    assume(graph.is_connected())
+    return graph
+
+
+def _same_check(got: SchurCheck, want: SchurCheck) -> None:
+    assert got.ok == want.ok
+    assert got.witness == want.witness
+    if want.ok:
+        assert got.ring == want.ring
+
+
+@settings(max_examples=150, deadline=None)
+@given(_partitions())
+def test_structure_constants_match_reference_on_random_partitions(case):
+    group, partition = case
+    _same_check(verify_schur_ring(group, partition), reference_verify_schur_ring(group, partition))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_connected_sets())
+def test_distance_partitions_match_reference_and_drg_test(graph):
+    classes = distance_partition(graph).classes
+    got = verify_schur_ring(graph.group, classes)
+    _same_check(got, reference_verify_schur_ring(graph.group, classes))
+    assert got.ok == check_distance_regular(graph).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partitions())
+def test_character_values_match_reference(case):
+    group, classes = case
+    classes = classes + [classes[-1][:2], []]  # classes need not partition
+    values = character_values(group, classes)
+    assert values.shape == (group.order, len(classes), euler_phi(group.exponent))
+    for gi in range(group.order):
+        assert tuple(tuple(v) for v in values[gi].tolist()) == reference_character_class_vector(
+            group, classes, gi
+        )
+
+
+@pytest.mark.parametrize("moduli", [(12,), (15,), (6, 3), (2, 2, 2)])
+def test_character_values_object_fallback(monkeypatch, moduli):
+    group = make_group(moduli)
+    classes = [[0], list(range(1, group.order, 2)), list(range(2, group.order, 2))]
+    exact = character_values(group, classes)
+    monkeypatch.setattr(algebra, "_INT64_SAFE", 1)
+    wide = character_values(group, classes)
+    assert wide.dtype == object
+    assert wide.tolist() == exact.tolist()
+    for gi in range(group.order):
+        assert tuple(tuple(v) for v in wide[gi].tolist()) == reference_character_class_vector(group, classes, gi)
+
+
+def _schur_rings():
+    rings = []
+    for moduli in SMALL_GROUPS[1:]:
+        g = make_group(moduli)
+        for parts in (trivial_partition(g), [[g.index(e) for e in part] for part in atoms(g)]):
+            rings.append(verify_schur_ring(g, parts).ring)
+    for graph in (srg942(), cycle_graph(7), crown_graph_z6z3(), hypercube4(), taylor_cover_z2_5()):
+        rings.append(distance_module(graph))
+    return rings
+
+
+RINGS = _schur_rings()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RINGS))
+def test_bidual_from_a_cleared_cache(ring):
+    schur._dual_ring.cache_clear()
+    dual = dual_schur_ring(ring)
+    assert dual_schur_ring(dual_schur_ring(ring)).partition_key() == ring.partition_key()
+    assert dual_schur_ring(ring) == dual
+
+
+def test_dual_ring_computed_once_per_ring():
+    for graph in (srg942(), cycle_graph(6), hypercube4()):
+        schur._dual_ring.cache_clear()
+        check = check_distance_regular(graph)
+        ring = distance_module(graph, check)
+        dual = dual_schur_ring(ring)
+        assert dual_schur_ring(dual).partition_key() == ring.partition_key()
+        krein_parameters(ring)
+        for tau in q_polynomial_orderings(ring):
+            dual_graph(graph, tau, check)
+        # one computation for the dual ring and one for the bidual ring,
+        # which is keyed by the dual's classes (equal to the ring's when self-dual)
+        assert schur._dual_ring.cache_info().misses == len({ring.classes, dual.classes})
+
+
+def test_dual_rank_witness_reaches_cli_json(monkeypatch, capsys):
+    def one_value(group, classes):
+        return np.zeros((group.order, len(classes), 1), dtype=np.int64)
+
+    schur._dual_ring.cache_clear()
+    monkeypatch.setattr(schur, "character_values", one_value)
+    code = run(["--format", "json", "dual", "--group", "5", "--set", "1;4"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert data["error"] == "invariant"
+    assert data["witness"] == {"rank": 3, "dual_rank": 1}
