@@ -8,6 +8,7 @@ the descending eigenvalue order (behind a separation gate).
 
 from __future__ import annotations
 
+import functools as ft
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -33,6 +34,7 @@ from .groups import (
 
 MAX_CLIQUE_ORDER = 200
 EIGENVALUE_GATE = 1e-9
+DRG_CACHE_SIZE = 512  # distinct (group, connection set) checks kept
 
 
 class CayleyGraph:
@@ -115,27 +117,8 @@ class DistancePartition:
 
 
 def distance_partition(graph: CayleyGraph) -> DistancePartition:
-    """BFS layers from the identity inside the difference structure."""
-    g = graph.group
-    n = g.order
-    add = g.add_table()
-    sconn = graph.connection_indices()
-    seen = np.zeros(n, dtype=bool)
-    zero = g.index(g.zero)
-    seen[zero] = True
-    classes: List[Tuple[int, ...]] = [(zero,)]
-    frontier = np.array([zero])
-    while True:
-        nxt = np.unique(add[np.ix_(frontier, sconn)])
-        nxt = nxt[~seen[nxt]]
-        if nxt.size == 0:
-            break
-        seen[nxt] = True
-        classes.append(tuple(int(x) for x in nxt))
-        frontier = nxt
-    if not seen.all():
-        raise NotConnectedError("connection set does not generate the group")
-    return DistancePartition(g, tuple(classes))
+    """BFS layers from the identity; a by-product of the exact check."""
+    return check_distance_regular(graph).partition
 
 
 # ---------------------------------------------------------------------------
@@ -218,33 +201,52 @@ class DRGCheck:
 def check_distance_regular(graph: CayleyGraph) -> DRGCheck:
     """Exact test: for each layer i the convolution of the layer indicator
     with the connection indicator must be constant on the classes at
-    distance i-1, i, i+1 and zero elsewhere."""
-    part = distance_partition(graph)
-    n = graph.group.order
+    distance i-1, i, i+1 and zero elsewhere.  Computed once per distinct
+    (group, connection set) and then shared."""
+    return _check(graph.group, tuple(graph.connection_indices().tolist()))
+
+
+@ft.lru_cache(maxsize=DRG_CACHE_SIZE)
+def _check(group: AbelianGroup, connection: Tuple[int, ...]) -> DRGCheck:
+    # BFS and the intersection numbers come from the same products: column
+    # i of counts is A @ ind_i = |N(t) & S_i|, summed over the columns of
+    # the layer; its positive entries not yet seen are layer i + 1.
+    n = group.order
+    s_vec = np.zeros(n, dtype=bool)
+    s_vec[list(connection)] = True
+    adj = s_vec[group.sub_table()]  # adj[t, g]: t - g in S
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True  # index 0 is the identity
+    layers = [np.zeros(1, dtype=np.intp)]
+    counts = []
+    while layers[-1].size:
+        count = adj[:, layers[-1]].sum(axis=1)
+        counts.append(count)
+        nxt = (count > 0) & ~seen
+        seen |= nxt
+        layers.append(np.flatnonzero(nxt))
+    layers.pop()
+    if not seen.all():
+        raise NotConnectedError("connection set does not generate the group")
+    part = DistancePartition(group, tuple(tuple(x.tolist()) for x in layers))
     d = part.diameter
-    sub = graph.group.sub_table()
-    s_vec = graph.indicator()
-    inds = []
-    for cls in part.classes:
-        v = np.zeros(n, dtype=np.int64)
-        v[list(cls)] = 1
-        inds.append(v)
-    b = [0] * d
-    c = [0] * d
-    for i in range(d + 1):
-        prod = s_vec[sub] @ inds[i]  # (layer_i * S)[t] = |neighbors of t in S_i|
-        for j in range(d + 1):
-            vals = prod[list(part.classes[j])]
-            lo, hi = int(vals.min()), int(vals.max())
-            if lo != hi:
-                return DRGCheck(False, None, part, {"layer": i, "class": j, "min": lo, "max": hi})
-            if abs(i - j) > 1 and hi != 0:
-                return DRGCheck(False, None, part, {"layer": i, "class": j, "nonzero": hi})
-            if j == i + 1 and j <= d:
-                c[j - 1] = hi  # c_{i+1}
-            if j == i - 1:
-                b[j] = hi  # b_{i-1}
-    arr = IntersectionArray(tuple(b), tuple(c))
+    # lo[i, j] / hi[i, j]: least / greatest count towards layer i on class j
+    rows = np.stack(counts, axis=1)[np.concatenate(layers)]
+    starts = np.cumsum([0] + [x.size for x in layers[:-1]])
+    lo = np.minimum.reduceat(rows, starts, axis=0).T
+    hi = np.maximum.reduceat(rows, starts, axis=0).T
+    idx = np.arange(d + 1)
+    far = np.abs(idx[:, None] - idx[None, :]) > 1
+    bad = np.argwhere((lo != hi) | (far & (hi != 0)))
+    if bad.size:
+        i, j = (int(x) for x in bad[0])
+        if lo[i, j] != hi[i, j]:
+            witness = {"layer": i, "class": j, "min": int(lo[i, j]), "max": int(hi[i, j])}
+        else:
+            witness = {"layer": i, "class": j, "nonzero": int(hi[i, j])}
+        return DRGCheck(False, None, part, witness)
+    # b_i = hi[i + 1, i], c_{i+1} = hi[i, i + 1]
+    arr = IntersectionArray(tuple(np.diagonal(hi, -1).tolist()), tuple(np.diagonal(hi, 1).tolist()))
     sizes = arr.class_sizes()
     if sizes != tuple(len(cls) for cls in part.classes) or sum(sizes) != n:
         raise InvariantViolation("intersection array inconsistent with layer sizes")

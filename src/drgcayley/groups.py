@@ -364,40 +364,43 @@ def all_subgroups(group: AbelianGroup) -> Tuple[Subgroup, ...]:
     """Every subgroup, by closing the set of cyclic subgroups under join.
 
     For abelian groups the join of two subgroups is the set of pairwise
-    sums, so a single product pass per join suffices.
+    sums, so each join is one gather of the addition table; the lattice
+    is closed over frozensets of element indices.
     """
     cached = group._cache.get("all_subgroups")
     if cached is not None:
         return cached  # type: ignore[return-value]
-    cyclic: Dict[FrozenSet[GroupElement], GroupElement] = {}
-    for g in group.elements():
-        h = generated_subgroup(group, [g])
-        cyclic.setdefault(h.element_set(), g)
-    known: Dict[FrozenSet[GroupElement], Tuple[GroupElement, ...]] = {
-        frozenset([group.zero]): tuple()
-    }
+    add = group.add_table()
+    # cyclic subgroups keyed by their first generator in element order
+    coords = group.coords_matrix()
+    mods = np.array(group.moduli, dtype=np.int64)
+    strides = np.array(group._strides, dtype=np.int64)
+    ks = np.arange(group.exponent, dtype=np.int64)[:, None]
+    cyclic: Dict[FrozenSet[int], int] = {}
+    for g in range(group.order):
+        cyclic.setdefault(frozenset(((ks * coords[g] % mods) @ strides).tolist()), g)
+    known: Dict[FrozenSet[int], Tuple[int, ...]] = {frozenset([0]): ()}
     frontier = list(known)
     while frontier:
         new_frontier = []
         for hset in frontier:
             hgens = known[hset]
+            hidx = list(hset)
             for cset, cgen in cyclic.items():
                 if cset <= hset:
                     continue
-                joined = frozenset(a + b for a in hset for b in cset)
+                joined = frozenset(add[np.ix_(hidx, list(cset))].ravel().tolist())
                 if joined not in known:
                     known[joined] = hgens + (cgen,)
                     new_frontier.append(joined)
                     if len(known) > MAX_SUBGROUPS:
                         raise SpecError("subgroup lattice too large to enumerate")
         frontier = new_frontier
-    subs = []
-    for hset, hgens in known.items():
-        elems = tuple(sorted(hset, key=lambda e: e.coords))
-        gens = hgens if hgens else (group.zero,)
-        subs.append(Subgroup(group, elems, gens))
-    subs.sort(key=lambda h: (h.order, tuple(e.coords for e in h.elements)))
-    result = tuple(subs)
+    els = group.elements()
+    result = tuple(
+        Subgroup(group, tuple(els[i] for i in members), tuple(els[i] for i in gens))
+        for _, members, gens in sorted((len(h), sorted(h), gens or (0,)) for h, gens in known.items())
+    )
     group._cache["all_subgroups"] = result
     return result
 

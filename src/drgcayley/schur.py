@@ -11,7 +11,8 @@ Krein tensor for integral schemes.
 from __future__ import annotations
 
 import functools as ft
-from dataclasses import dataclass
+import itertools as it
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +26,7 @@ from .groups import AbelianGroup, GroupElement, generated_subgroup
 Tensor = Tuple[Tuple[Tuple[int, ...], ...], ...]
 
 DUAL_CACHE_SIZE = 64  # dual rings kept by dual_schur_ring
+MAX_TENSOR_ENTRIES = 1 << 22  # r^3 structure constants of one ring
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,12 @@ class SchurRing:
     group: AbelianGroup
     classes: Tuple[Tuple[int, ...], ...]  # index tuples, classes[0] = {0}
     tensor: Tensor  # tensor[i][j][k] = p_{ij}^k
+    array: Optional[np.ndarray] = field(default=None, compare=False, repr=False)  # tensor, read-only int64
+
+    def __post_init__(self):
+        if self.array is None:
+            object.__setattr__(self, "array", np.array(self.tensor, dtype=np.int64))
+        self.array.flags.writeable = False
 
     @property
     def rank(self) -> int:
@@ -50,8 +58,8 @@ class SchurRing:
 
     @property
     def is_symmetric(self) -> bool:
-        neg = self.group.neg_table()
-        return all(set(int(neg[i]) for i in cls) == set(cls) for cls in self.classes)
+        _, label = _class_labels(self.group.order, self.classes)
+        return bool((label[self.group.neg_table()] == label).all())
 
     @property
     def is_primitive(self) -> bool:
@@ -80,6 +88,15 @@ class SchurCheck:
     witness: Optional[dict] = None
 
 
+def _class_labels(n: int, classes: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """(order, label) for classes that partition range(n): the elements
+    class after class, and label[g] = the index of the class holding g."""
+    order = np.fromiter(it.chain.from_iterable(classes), dtype=np.intp, count=n)
+    label = np.empty(n, dtype=np.intp)
+    label[order] = np.repeat(np.arange(len(classes)), [len(cls) for cls in classes])
+    return order, label
+
+
 def structure_constants(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
     """(lo, hi), where lo[i, j, k] and hi[i, j, k] are the least and the
     greatest coefficient of N_i N_j on class k, for classes that
@@ -91,14 +108,18 @@ def structure_constants(group: AbelianGroup, classes: Sequence[Sequence[int]]) -
     bincount give all products, with t counted at its position in the
     class-ordered element list; min/max reduceat over the class segments
     then reads off lo and hi.  Peak memory is one (n, n) and one
-    (r, r, n) integer array.
+    (r, r, n) integer array.  Refused (SpecError) before anything is
+    allocated when the tensor would have more than MAX_TENSOR_ENTRIES
+    entries.
     """
     n = group.order
     r = len(classes)
-    order = np.concatenate([np.asarray(cls, dtype=np.intp) for cls in classes])
+    if r**3 > MAX_TENSOR_ENTRIES:
+        raise SpecError(
+            f"a rank-{r} ring has {r**3} structure constants, above the limit {MAX_TENSOR_ENTRIES}"
+        )
+    order, label = _class_labels(n, classes)
     sizes = [len(cls) for cls in classes]
-    label = np.empty(n, dtype=np.intp)
-    label[order] = np.repeat(np.arange(r, dtype=np.intp), sizes)
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n, dtype=np.intp)
     key = label[group.sub_table()]  # key[t, g] = class of t - g
@@ -137,7 +158,7 @@ def verify_schur_ring(group: AbelianGroup, partition: Sequence[Sequence[int]]) -
             False, None, {"i": i, "j": j, "k": k, "min": int(lo[i, j, k]), "max": int(hi[i, j, k])}
         )
     tensor = tuple(tuple(tuple(row) for row in plane) for plane in hi.tolist())
-    return SchurCheck(True, SchurRing(group, tuple(classes), tensor))
+    return SchurCheck(True, SchurRing(group, tuple(classes), tensor, hi))
 
 
 def distance_module(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> SchurRing:
@@ -202,15 +223,14 @@ def krein_parameters(ring: SchurRing) -> KreinTensor:
     non-negativity and integrality are asserted, not assumed."""
     if not ring.is_symmetric:
         raise SpecError("Krein parameters require a symmetric Schur ring")
-    q = dual_schur_ring(ring).tensor
-    for i, plane in enumerate(q):
-        for j, row in enumerate(plane):
-            for k, x in enumerate(row):
-                if x < 0:
-                    raise InvariantViolation(
-                        "negative Krein parameter", witness={"i": i, "j": j, "k": k, "q": x}
-                    )
-    return KreinTensor(q)
+    dual = dual_schur_ring(ring)
+    bad = np.argwhere(dual.array < 0)
+    if bad.size:
+        i, j, k = (int(x) for x in bad[0])
+        raise InvariantViolation(
+            "negative Krein parameter", witness={"i": i, "j": j, "k": k, "q": int(dual.array[i, j, k])}
+        )
+    return KreinTensor(dual.tensor)
 
 
 def krein_via_eigenmatrix(ring: SchurRing) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
@@ -255,7 +275,7 @@ def _ordering_ok(tensor: np.ndarray, tau: Sequence[int]) -> bool:
     return not t[idx > diag[:, :, None]].any() and bool(t[i, j, diag[i, j]].all())
 
 
-def _polynomial_orderings(tensor: Tensor) -> List[Tuple[int, ...]]:
+def _polynomial_orderings(tensor: np.ndarray) -> List[Tuple[int, ...]]:
     """Orderings passing _ordering_ok, found by walking the chain each
     first class forces: in a valid ordering the only class of tensor
     row (tau[1], tau[i]) not yet placed must be tau[i+1], so candidates
@@ -264,17 +284,17 @@ def _polynomial_orderings(tensor: Tensor) -> List[Tuple[int, ...]]:
     d = len(tensor) - 1
     if d == 0:
         return [(0,)]
-    arr = np.array(tensor, dtype=np.int64)
+    nonzero = (tensor != 0).tolist()
     out = []
     for t1 in range(1, d + 1):
         tau = [0, t1]
         while len(tau) <= d:
             seen = set(tau)
-            nxt = [k for k in range(d + 1) if tensor[t1][tau[-1]][k] and k not in seen]
+            nxt = [k for k in range(d + 1) if nonzero[t1][tau[-1]][k] and k not in seen]
             if len(nxt) != 1:
                 break
             tau.append(nxt[0])
-        if len(tau) == d + 1 and _ordering_ok(arr, tau):
+        if len(tau) == d + 1 and _ordering_ok(tensor, tau):
             out.append(tuple(tau))
     return out
 
@@ -284,14 +304,15 @@ def q_polynomial_orderings(ring: SchurRing) -> List[Tuple[int, ...]]:
     (triangle vanishing above i+j, non-vanishing at i+j)."""
     if not ring.is_symmetric:
         raise SpecError("Q-polynomial analysis requires a symmetric Schur ring")
-    return _polynomial_orderings(krein_parameters(ring).q)
+    krein_parameters(ring)  # asserts the Krein conditions on the dual tensor
+    return _polynomial_orderings(dual_schur_ring(ring).array)
 
 
 def p_polynomial_orderings(ring: SchurRing) -> List[Tuple[int, ...]]:
     """Orderings making the primal ring P-polynomial (distance-regular)."""
     if not ring.is_symmetric:
         raise SpecError("P-polynomial analysis requires a symmetric Schur ring")
-    return _polynomial_orderings(ring.tensor)
+    return _polynomial_orderings(ring.array)
 
 
 def dual_graph(graph: CayleyGraph, tau: Sequence[int], check: Optional[DRGCheck] = None) -> CayleyGraph:
@@ -330,8 +351,8 @@ def dual_graph(graph: CayleyGraph, tau: Sequence[int], check: Optional[DRGCheck]
                     "found": sorted(dcheck.partition.classes[i]),
                 },
             )
-    q = np.array(krein_parameters(ring).q, dtype=np.int64)[np.ix_(tau, tau, tau)]
-    p = np.array(distance_module(dgraph, dcheck).tensor, dtype=np.int64)
+    q = dual.array[np.ix_(tau, tau, tau)]
+    p = distance_module(dgraph, dcheck).array
     bad = np.argwhere(p != q)
     if bad.size:
         i, j, k = (int(x) for x in bad[0])

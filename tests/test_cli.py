@@ -1,6 +1,7 @@
 """CLI surface: parsing, shorthands, exit codes, formats, recheck."""
 
 import json
+import time
 
 import pytest
 
@@ -163,6 +164,16 @@ def test_schur_json(capsys):
     assert data["rank"] == 3
     assert data["class_sizes"] == [1, 2, 2]
     assert data["symmetric"] is True
+
+
+def test_schur_refuses_a_rank_above_the_tensor_bound(capsys):
+    # C_512 has a rank-257 distance module: 257^3 structure constants
+    t0 = time.perf_counter()
+    code, data = invoke_json(capsys, "schur", "--group", "512", "--set", "1;511")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert data["error"] == "usage"
+    assert "rank-257" in data["message"]
 
 
 def test_krein_json(capsys):

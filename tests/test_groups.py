@@ -344,3 +344,41 @@ def test_generated_subgroup_matches_bfs_closure(data):
     sub = generated_subgroup(group, gens)
     assert sub.elements == _bfs_closure(group, gens)
     assert sub.generators == tuple(gens)
+
+
+def reference_all_subgroups(group):
+    """The lattice closed over sets of elements, one Python sum per pair."""
+    cyclic = {}
+    for g in group.elements():
+        h = generated_subgroup(group, [g])
+        cyclic.setdefault(h.element_set(), g)
+    known = {frozenset([group.zero]): tuple()}
+    frontier = list(known)
+    while frontier:
+        new_frontier = []
+        for hset in frontier:
+            hgens = known[hset]
+            for cset, cgen in cyclic.items():
+                if cset <= hset:
+                    continue
+                joined = frozenset(a + b for a in hset for b in cset)
+                if joined not in known:
+                    known[joined] = hgens + (cgen,)
+                    new_frontier.append(joined)
+        frontier = new_frontier
+    subs = []
+    for hset, hgens in known.items():
+        elems = tuple(sorted(hset, key=lambda e: e.coords))
+        gens = hgens if hgens else (group.zero,)
+        subs.append((elems, gens))
+    subs.sort(key=lambda h: (len(h[0]), tuple(e.coords for e in h[0])))
+    return subs
+
+
+@pytest.mark.parametrize(
+    "moduli", [(), (1,), (12,), (30,), (32,), (2, 2), (4, 2), (6, 3), (2, 2, 2), (4, 4), (9, 3), (2, 2, 2, 2), (3, 3, 3)]
+)
+def test_all_subgroups_match_the_element_lattice(moduli):
+    group = make_group(moduli)
+    got = [(h.elements, h.generators) for h in all_subgroups(group)]
+    assert got == reference_all_subgroups(group)

@@ -1,6 +1,6 @@
 import itertools as it
 import json
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -460,3 +460,57 @@ def test_dual_rank_witness_reaches_cli_json(monkeypatch, capsys):
     assert code == 3
     assert data["error"] == "invariant"
     assert data["witness"] == {"rank": 3, "dual_rank": 1}
+
+
+# ---------------------------------------------------------------------------
+# the rank guard, the Krein sign test and the symmetry test
+
+
+def test_rank_guard_sits_between_c256_and_c512():
+    assert 129**3 <= schur.MAX_TENSOR_ENTRIES < 257**3
+
+
+def test_structure_constants_refuse_a_rank_above_the_bound(monkeypatch):
+    group = make_group([5])
+    classes = [[0], [1, 4], [2, 3]]
+    monkeypatch.setattr(schur, "MAX_TENSOR_ENTRIES", 3**3)
+    assert verify_schur_ring(group, classes).ok
+    monkeypatch.setattr(schur, "MAX_TENSOR_ENTRIES", 3**3 - 1)
+    with pytest.raises(SpecError, match="rank-3"):
+        verify_schur_ring(group, classes)
+
+
+def reference_negative_krein_witness(q) -> Optional[dict]:
+    for i, plane in enumerate(q):
+        for j, row in enumerate(plane):
+            for k, x in enumerate(row):
+                if x < 0:
+                    return {"i": i, "j": j, "k": k, "q": x}
+    return None
+
+
+@pytest.mark.parametrize("cells", [[(2, 1, 0)], [(1, 2, 2), (2, 0, 1)], [(0, 0, 0), (2, 2, 2)]])
+def test_negative_krein_parameter_reports_the_first_witness(monkeypatch, cells):
+    ring = distance_module(srg942())
+    dual = dual_schur_ring(ring)
+    q = np.array(dual.tensor)
+    for value, cell in enumerate(cells, start=-len(cells)):
+        q[cell] = value
+    tensor = tuple(tuple(tuple(row) for row in plane) for plane in q.tolist())
+    monkeypatch.setattr(schur, "dual_schur_ring", lambda _ring: SchurRing(dual.group, dual.classes, tensor))
+    with pytest.raises(InvariantViolation) as err:
+        krein_parameters(ring)
+    assert err.value.witness == reference_negative_krein_witness(tensor)
+
+
+def _reference_is_symmetric(ring: SchurRing) -> bool:
+    neg = ring.group.neg_table()
+    return all(set(int(neg[i]) for i in cls) == set(cls) for cls in ring.classes)
+
+
+def test_is_symmetric_matches_the_per_class_test():
+    # discrete rings {g} are symmetric iff every element is an involution
+    discrete = [verify_schur_ring(g, [[i] for i in range(g.order)]).ring for g in map(make_group, SMALL_GROUPS)]
+    assert any(ring.is_symmetric for ring in discrete) and not all(ring.is_symmetric for ring in discrete)
+    for ring in RINGS + discrete:
+        assert ring.is_symmetric == _reference_is_symmetric(ring)
