@@ -123,15 +123,31 @@ def character_table(group: AbelianGroup) -> np.ndarray:
     return table  # type: ignore[return-value]
 
 
+def reduce_root_counts(counts: np.ndarray, m: int) -> np.ndarray:
+    """Power-basis coordinates of sum_e counts[..., e] * zeta_m^e, the
+    last axis running over e = 0..m-1, exactly.  zeta^e for e < phi(m) is
+    a basis vector, so only the counts of the higher powers go through
+    the power table: in int64 when the bound
+    CyclotomicInteger.from_root_counts uses rules out overflow, in Python
+    integers (object dtype) otherwise."""
+    phi = euler_phi(m)
+    power = _power_table(m)[phi:m]
+    high = counts[..., phi:]
+    if power.dtype == object or counts.dtype == object or (
+        int(np.abs(counts).max(initial=0)) * _table_row_bound(m) * m >= _INT64_SAFE
+    ):
+        high, power = high.astype(object), power.astype(object)
+    return counts[..., :phi] + high @ power
+
+
 def character_values(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> np.ndarray:
     """values[g, i] = chi_g(N_i) = sum over x in classes[i] of chi_g(x), exact.
 
     Returns the power-basis coordinates at the group exponent m as an
     (n, r, phi(m)) array, one row per character in index order; the
     classes need not cover the group.  Each value is the root-count
-    vector of its class under the character table times the power table,
-    in int64 when the bound CyclotomicInteger.from_root_counts uses rules
-    out overflow and in Python integers (object dtype) otherwise.
+    vector of its class under the character table, reduced by
+    reduce_root_counts.
     """
     n, m = group.order, group.exponent
     r = len(classes)
@@ -140,8 +156,6 @@ def character_values(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> n
     # a (g, x) pair adds one to counts[g, class of x, e(g, x)]
     labels = np.repeat(np.arange(r, dtype=np.intp) * m, [len(c) for c in members])
     table = character_table(group)
-    power = _power_table(m)[:m]
-    row_bound = _table_row_bound(m)
     step = max(1, CHARACTER_CHUNK_ENTRIES // max(r * m, cols.size, 1))
     blocks = []
     for lo in range(0, n, step):
@@ -150,10 +164,7 @@ def character_values(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> n
         key = rows[:, cols] + labels
         key += np.arange(k, dtype=np.intp)[:, None] * (r * m)
         counts = np.bincount(key.ravel(), minlength=k * r * m).reshape(k * r, m)
-        if power.dtype == object or int(counts.max(initial=0)) * row_bound * m >= _INT64_SAFE:
-            vals = counts.astype(object) @ power.astype(object)
-        else:
-            vals = counts @ power
+        vals = reduce_root_counts(counts, m)
         blocks.append(vals.reshape(k, r, -1))
     return np.concatenate(blocks)
 
@@ -170,7 +181,7 @@ def fourier_coefficient(group: AbelianGroup, vec: Sequence[int], g: GroupElement
         raise SpecError("coefficient vector has wrong length")
     m = group.exponent
     counts = np.zeros(m, dtype=np.int64)
-    np.add.at(counts, group.pairing_row(g), arr)
+    np.add.at(counts, character_table(group)[group.index(g)], arr)
     return CyclotomicInteger.from_root_counts(m, counts)
 
 

@@ -355,19 +355,26 @@ class ClassificationReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
-    def summary_text(self) -> str:
+    def summary_rows(self) -> List[Tuple[str, str]]:
+        """The summary as (label, value) rows, without the run's wall time."""
         fam = ", ".join(f"{k}={v}" for k, v in self.families) or "none"
-        rows = [
+        return [
             ("group", str(self.group)),
             ("subsets", str(self.total_sets)),
             ("connected", str(self.connected_sets)),
             ("DRG", str(self.drg_count)),
             ("families", fam),
             ("anomalies", str(len(self.anomalies))),
-            ("wall time", f"{self.elapsed:.2f}s"),
         ]
-        width = max(len(k) for k, _ in rows)
-        return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
+
+    def summary_text(self) -> str:
+        return aligned_rows(self.summary_rows() + [("wall time", f"{self.elapsed:.2f}s")])
+
+
+def aligned_rows(rows: Sequence[Tuple[str, str]]) -> str:
+    """One "label  value" line per row, labels padded to a common width."""
+    width = max(len(k) for k, _ in rows)
+    return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
 def _sorted_element_tuple(group: AbelianGroup, indices: Sequence[int]) -> Tuple[GroupElement, ...]:

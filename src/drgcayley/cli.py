@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .classify import (
     MAX_SUBSETS,
     SearchSpec,
+    aligned_rows,
     classify_group,
     nonexistence_report,
     verify_circulant_theorem,
@@ -359,17 +360,7 @@ def _cmd_classify(args) -> Payload:
     report = classify_group(spec)
     payload = {"command": "classify", "inputs": _search_inputs(args)}
     payload.update(report.to_dict())
-    fams = ", ".join(f"{k}={v}" for k, v in report.families) or "none"
-    rows = [
-        ("group", str(group)),
-        ("subsets", str(report.total_sets)),
-        ("connected", str(report.connected_sets)),
-        ("DRG", str(report.drg_count)),
-        ("families", fams),
-        ("anomalies", str(len(report.anomalies))),
-    ]
-    width = max(len(k) for k, _ in rows)
-    text = "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
+    text = aligned_rows(report.summary_rows())
     sys.stderr.write(f"wall time {report.elapsed:.2f}s\n")
     return payload, text, 0
 

@@ -99,27 +99,24 @@ def cyclotomic_polynomial(m: int) -> Tuple[int, ...]:
 def _power_table(m: int) -> np.ndarray:
     """Row e holds the power-basis coordinates of x^e mod Phi_m, for
     e up to max(m, 2*phi(m)-1) exclusive (covers root exponents and
-    products of two reduced elements)."""
+    products of two reduced elements).  Rows below phi are unit vectors,
+    x^phi = -(the low terms of Phi_m), each later row is the one before
+    times x, and x^m = 1 makes rows m and up repeat rows 0 and up."""
     phi = euler_phi(m)
-    nrows = max(m, 2 * phi - 1)
-    poly = cyclotomic_polynomial(m)
-    rows: List[List[int]] = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(nrows):
-        rows.append(list(cur))
+    poly = np.array(cyclotomic_polynomial(m)[:phi], dtype=object)
+    high = np.empty((m - phi, phi), dtype=object)
+    cur = -poly
+    for e in range(m - phi):
+        high[e] = cur
         # multiply by x: shift, then fold the overflow via x^phi = -(low terms)
-        top = cur[phi - 1]
-        cur = [0] + cur[: phi - 1]
-        if top:
-            for j in range(phi):
-                cur[j] -= top * poly[j]
-    arr = np.array(rows, dtype=object)
-    if int(max(abs(int(v)) for v in arr.flat)) < 2**31:
+        cur = np.concatenate(([0], cur[:-1])) - cur[-1] * poly
+    arr = np.concatenate([np.eye(phi, dtype=np.int64).astype(object), high])
+    if max(high.max(initial=0), -high.min(initial=0)) < 2**31:
         arr = arr.astype(np.int64)
-    return arr
+    return arr[np.arange(max(m, 2 * phi - 1)) % m]
 
 
+@ft.lru_cache(maxsize=None)
 def _table_row_bound(m: int) -> int:
     """max over basis coordinates of the column sum of |entries|; used to
     certify that int64 accumulation cannot overflow."""

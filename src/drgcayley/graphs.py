@@ -15,8 +15,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import character_values
-from .cyclotomic import CyclotomicInteger
+from .algebra import character_values, reduce_root_counts
+from .cyclotomic import _INT64_SAFE, CyclotomicInteger
 from .errors import InvariantViolation, NotConnectedError, PrecisionError, SpecError
 from .groups import (
     AbelianGroup,
@@ -34,7 +34,9 @@ from .groups import (
 
 MAX_CLIQUE_ORDER = 200
 EIGENVALUE_GATE = 1e-9
-DRG_CACHE_SIZE = 512  # distinct (group, connection set) checks kept
+MIN_DPS = 20  # at 18 digits some renderings of 2cos(2 pi a/m) differ from dps 40 (README)
+MAX_DPS = 500  # the slowest accepted precision stays within seconds (README)
+DRG_CACHE_SIZE = 512  # distinct (group, connection set) checks, and spectra, kept
 
 
 class CayleyGraph:
@@ -342,53 +344,104 @@ class Eigensystem:
 
 def spectrum(graph: CayleyGraph, dps: int = 40) -> Eigensystem:
     """Exact eigenvalues chi_g(S) grouped by cyclotomic equality; the
-    descending order is fixed numerically behind a separation gate."""
+    descending order is fixed numerically behind a separation gate.
+    Computed once per distinct (group, connection set, dps) and then
+    shared; dps outside [MIN_DPS, MAX_DPS] is refused."""
+    if not MIN_DPS <= dps <= MAX_DPS:
+        raise SpecError(f"precision {dps} outside [{MIN_DPS}, {MAX_DPS}] decimal digits")
+    return _spectrum(graph.group, tuple(graph.connection_indices().tolist()), dps)
+
+
+@ft.lru_cache(maxsize=DRG_CACHE_SIZE)
+def _spectrum(group: AbelianGroup, connection: Tuple[int, ...], dps: int) -> Eigensystem:
+    m = group.exponent
+    keys, label = _distinct_rows(character_values(group, [connection])[:, 0])
+    counts = np.bincount(label, minlength=len(keys))
+    # a real value is fixed by complex conjugation, zeta^i -> zeta^-i
+    conjugate = np.zeros((len(keys), m), dtype=keys.dtype)
+    conjugate[:, -np.arange(keys.shape[1]) % m] = keys
+    if not np.array_equal(reduce_root_counts(conjugate, m), keys):
+        raise InvariantViolation("eigenvalue of an inverse-closed set must be real")
+    rows = keys.tolist()
+    if keys[:, 1:].any():
+        order, numerics = _numeric_order(m, rows, dps)
+    else:  # rational integers; float(k) == float(mpf(k)) as |k| <= |G| < 2^53
+        order = sorted(range(len(rows)), key=lambda u: rows[u][0], reverse=True)
+        numerics = [float(rows[u][0]) for u in order]
+    _eigensystem_invariants(group, len(connection), keys, counts)
+    values = tuple(CyclotomicInteger(m, rows[u]) for u in order)
+    mults = tuple(int(counts[u]) for u in order)
+    connected = generated_subgroup(group, [group.from_index(i) for i in connection]).order == group.order
+    if connected and (mults[0] != 1 or values[0] != len(connection)):
+        raise InvariantViolation("top eigenvalue of a connected graph must be the degree, simple")
+    if not np.array_equal(label[group.neg_table()], label):
+        raise InvariantViolation("eigenvalue level sets must be inverse closed")
+    members = np.split(np.argsort(label, kind="stable"), np.cumsum(counts)[:-1])
+    levels = tuple(tuple(members[u].tolist()) for u in order)
+    return Eigensystem(group, values, tuple(numerics), mults, levels)
+
+
+def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(keys, label): the distinct rows in order of first occurrence, and
+    for each row the index of its key."""
+    if rows.dtype == object:  # np.unique cannot compare object rows
+        index: Dict[Tuple[int, ...], int] = {}
+        label = [index.setdefault(tuple(row), len(index)) for row in rows.tolist()]
+        return np.array(list(index), dtype=object).reshape(len(index), -1), np.array(label, dtype=np.intp)
+    keys, first, label = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return keys[order], rank[label.reshape(-1)]
+
+
+def _numeric_order(m: int, rows: List[List[int]], dps: int) -> Tuple[List[int], List[float]]:
+    """Descending order of the values with coordinates rows at conductor
+    m, and their floats, behind the imaginary-part and separation gates;
+    mpmath evaluates only the irrational values."""
     import mpmath
 
-    g = graph.group
-    buckets: Dict[Tuple[int, ...], List[int]] = {}
-    for gi, key in enumerate(character_values(g, [graph.connection_indices()])[:, 0].tolist()):
-        buckets.setdefault(tuple(key), []).append(gi)
     entries = []
     with mpmath.workdps(dps):
-        for key, chars in buckets.items():
-            val = CyclotomicInteger(g.exponent, key)
-            if val != val.conjugate():
-                raise InvariantViolation("eigenvalue of an inverse-closed set must be real")
-            z = val.numeric(dps)
-            if abs(z.imag) > mpmath.mpf(10) ** (-dps // 2):
-                raise InvariantViolation("real eigenvalue evaluated with a large imaginary part")
-            entries.append((float(z.real), mpmath.mpf(z.real), val, tuple(sorted(chars))))
-        entries.sort(key=lambda e: e[1], reverse=True)
-        for (_, x1, v1, _), (_, x2, v2, _) in zip(entries, entries[1:]):
+        for u, row in enumerate(rows):
+            if any(row[1:]):
+                z = CyclotomicInteger(m, row).numeric(dps)
+                if abs(z.imag) > mpmath.mpf(10) ** (-dps // 2):
+                    raise InvariantViolation("real eigenvalue evaluated with a large imaginary part")
+                entries.append((mpmath.mpf(z.real), u))
+            else:
+                entries.append((mpmath.mpf(row[0]), u))
+        entries.sort(key=lambda e: e[0], reverse=True)
+        for (x1, u1), (x2, u2) in zip(entries, entries[1:]):
             if abs(x1 - x2) < EIGENVALUE_GATE:
-                raise PrecisionError(
-                    f"eigenvalues {v1!r} and {v2!r} separated by less than {EIGENVALUE_GATE}"
-                )
-    values = tuple(e[2] for e in entries)
-    numerics = tuple(e[0] for e in entries)
-    mults = tuple(len(e[3]) for e in entries)
-    levels = tuple(e[3] for e in entries)
-    _eigensystem_invariants(graph, values, mults)
-    if graph.is_connected():
-        if mults[0] != 1 or values[0] != graph.degree:
-            raise InvariantViolation("top eigenvalue of a connected graph must be the degree, simple")
-    neg = g.neg_table()
-    for lev in levels:
-        if {int(neg[i]) for i in lev} != set(lev):
-            raise InvariantViolation("eigenvalue level sets must be inverse closed")
-    return Eigensystem(g, values, numerics, mults, levels)
+                v1, v2 = CyclotomicInteger(m, rows[u1]), CyclotomicInteger(m, rows[u2])
+                raise PrecisionError(f"eigenvalues {v1!r} and {v2!r} separated by less than {EIGENVALUE_GATE}")
+    return [u for _, u in entries], [float(x) for x, _ in entries]
 
 
-def _eigensystem_invariants(graph, values, mults) -> None:
-    n = graph.group.order
-    if sum(mults) != n:
+def _eigensystem_invariants(group: AbelianGroup, degree: int, keys: np.ndarray, mults: np.ndarray) -> None:
+    """The trace identities sum m_i theta_i = 0 and sum m_i theta_i^2 =
+    k|G| on the power-basis coordinates keys[i] of the distinct values."""
+    n, m = group.order, group.exponent
+    if int(mults.sum()) != n:
         raise InvariantViolation("eigenvalue multiplicities must sum to the order")
-    tr = sum((m * v for m, v in zip(mults, values)), CyclotomicInteger.from_int(0))
-    if tr != 0:
+    if (mults @ keys).any():
         raise InvariantViolation("eigenvalues must sum to zero (trace)")
-    tr2 = sum((m * (v * v) for m, v in zip(mults, values)), CyclotomicInteger.from_int(0))
-    if tr2 != graph.degree * n:
+    # theta^2 has sum_{i+j=t} theta_i theta_j at x^t: weight the outer
+    # products by multiplicity, then fold the antidiagonals by skewing
+    # row i i places right (rows of length 2phi+1 read back as 2phi)
+    phi = keys.shape[1]
+    big = int(np.abs(keys).max(initial=0)) ** 2 * n * phi
+    if keys.dtype == object or big >= _INT64_SAFE:
+        keys = keys.astype(object)
+    outer = keys.T @ (keys * mults[:, None])
+    skew = np.zeros((phi, 2 * phi + 1), dtype=outer.dtype)
+    skew[:, :phi] = outer
+    folded = skew.ravel()[: 2 * phi * phi].reshape(phi, 2 * phi).sum(axis=0)[: 2 * phi - 1]
+    counts = np.zeros(m, dtype=folded.dtype)
+    np.add.at(counts, np.arange(2 * phi - 1) % m, folded)  # zeta^m = 1
+    square = reduce_root_counts(counts, m)
+    if square[0] != degree * n or square[1:].any():
         raise InvariantViolation("sum of squared eigenvalues must equal k|G|")
 
 

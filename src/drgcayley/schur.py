@@ -26,6 +26,7 @@ from .groups import AbelianGroup, GroupElement, generated_subgroup
 Tensor = Tuple[Tuple[Tuple[int, ...], ...], ...]
 
 DUAL_CACHE_SIZE = 64  # dual rings kept by dual_schur_ring
+RING_CACHE_SIZE = 8  # distance modules and Q-orderings kept; one graph's calls come back to back
 MAX_TENSOR_ENTRIES = 1 << 22  # r^3 structure constants of one ring
 
 
@@ -163,12 +164,17 @@ def verify_schur_ring(group: AbelianGroup, partition: Sequence[Sequence[int]]) -
 
 def distance_module(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> SchurRing:
     """Schur ring on the distance partition; exists iff the graph is
-    distance-regular."""
+    distance-regular.  Computed once per distinct (group, partition)."""
     if check is None:
         check = check_distance_regular(graph)
     if not check.ok:
         raise SpecError(f"graph is not distance-regular: {check.witness}")
-    res = verify_schur_ring(graph.group, check.partition.classes)
+    return _distance_module(graph.group, check.partition.classes)
+
+
+@ft.lru_cache(maxsize=RING_CACHE_SIZE)
+def _distance_module(group: AbelianGroup, classes: Tuple[Tuple[int, ...], ...]) -> SchurRing:
+    res = verify_schur_ring(group, classes)
     if not res.ok:
         raise InvariantViolation(
             f"distance partition of a DRG failed the Schur axioms: {res.witness}", witness=res.witness
@@ -224,13 +230,17 @@ def krein_parameters(ring: SchurRing) -> KreinTensor:
     if not ring.is_symmetric:
         raise SpecError("Krein parameters require a symmetric Schur ring")
     dual = dual_schur_ring(ring)
+    _assert_krein_conditions(dual)
+    return KreinTensor(dual.tensor)
+
+
+def _assert_krein_conditions(dual: SchurRing) -> None:
     bad = np.argwhere(dual.array < 0)
     if bad.size:
         i, j, k = (int(x) for x in bad[0])
         raise InvariantViolation(
             "negative Krein parameter", witness={"i": i, "j": j, "k": k, "q": int(dual.array[i, j, k])}
         )
-    return KreinTensor(dual.tensor)
 
 
 def krein_via_eigenmatrix(ring: SchurRing) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
@@ -301,11 +311,18 @@ def _polynomial_orderings(tensor: np.ndarray) -> List[Tuple[int, ...]]:
 
 def q_polynomial_orderings(ring: SchurRing) -> List[Tuple[int, ...]]:
     """All dual-class orderings satisfying the Q-polynomial conditions
-    (triangle vanishing above i+j, non-vanishing at i+j)."""
+    (triangle vanishing above i+j, non-vanishing at i+j).  Searched once
+    per distinct (group, classes)."""
     if not ring.is_symmetric:
         raise SpecError("Q-polynomial analysis requires a symmetric Schur ring")
-    krein_parameters(ring)  # asserts the Krein conditions on the dual tensor
-    return _polynomial_orderings(dual_schur_ring(ring).array)
+    return list(_q_orderings(ring.group, ring.classes))
+
+
+@ft.lru_cache(maxsize=RING_CACHE_SIZE)
+def _q_orderings(group: AbelianGroup, classes: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], ...]:
+    dual = _dual_ring(group, classes)
+    _assert_krein_conditions(dual)
+    return tuple(_polynomial_orderings(dual.array))
 
 
 def p_polynomial_orderings(ring: SchurRing) -> List[Tuple[int, ...]]:

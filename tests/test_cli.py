@@ -158,6 +158,16 @@ def test_spectrum_precision_flag(capsys):
     assert data["distinct"] == 3
 
 
+@pytest.mark.parametrize("precision", ["0", "-3", "19", "1000000"])
+def test_spectrum_precision_outside_bounds_is_a_usage_error(capsys, precision):
+    t0 = time.perf_counter()
+    code, data = invoke_json(capsys, "spectrum", "--group", "5", "--set", "1;4", "--precision", precision)
+    assert code == 2
+    assert data["error"] == "usage"
+    assert "precision" in data["message"]
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_schur_json(capsys):
     code, data = invoke_json(capsys, "schur", "--group", "5", "--set", "1;4")
     assert code == 0

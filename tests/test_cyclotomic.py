@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from drgcayley.cyclotomic import (
     CyclotomicInteger,
+    _power_table,
     character_sum,
     cyclotomic_polynomial,
     divisors,
@@ -187,3 +188,35 @@ def test_numeric_matches_sympy(m, cs):
     ours = v.numeric(35)
     theirs = complex(sympy.N(exact, 35))
     assert abs(complex(ours.real, ours.imag) - theirs) < 1e-25
+
+
+def reference_power_table(m: int) -> np.ndarray:
+    """Row e holds the power-basis coordinates of x^e mod Phi_m, for
+    e up to max(m, 2*phi(m)-1) exclusive (covers root exponents and
+    products of two reduced elements)."""
+    phi = euler_phi(m)
+    nrows = max(m, 2 * phi - 1)
+    poly = cyclotomic_polynomial(m)
+    rows = []
+    cur = [0] * phi
+    cur[0] = 1
+    for _ in range(nrows):
+        rows.append(list(cur))
+        # multiply by x: shift, then fold the overflow via x^phi = -(low terms)
+        top = cur[phi - 1]
+        cur = [0] + cur[: phi - 1]
+        if top:
+            for j in range(phi):
+                cur[j] -= top * poly[j]
+    arr = np.array(rows, dtype=object)
+    if int(max(abs(int(v)) for v in arr.flat)) < 2**31:
+        arr = arr.astype(np.int64)
+    return arr
+
+
+def test_power_table_matches_the_row_by_row_reference():
+    for m in list(range(1, 130)) + [210, 256, 330, 385, 1155]:
+        got, want = _power_table(m), reference_power_table(m)
+        assert got.dtype == want.dtype == np.int64, m
+        assert got.shape == want.shape, m
+        assert np.array_equal(got, want), m
