@@ -12,7 +12,7 @@ from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cyclotomic import _INT64_SAFE, CyclotomicInteger, _power_table, _table_row_bound, euler_phi
+from .cyclotomic import CyclotomicInteger, _power_table, euler_phi, reduce_root_counts
 from .errors import InvariantViolation, SpecError
 from .groups import AbelianGroup, GroupElement
 
@@ -121,23 +121,6 @@ def character_table(group: AbelianGroup) -> np.ndarray:
         table.setflags(write=False)
         group._cache["character_table"] = table
     return table  # type: ignore[return-value]
-
-
-def reduce_root_counts(counts: np.ndarray, m: int) -> np.ndarray:
-    """Power-basis coordinates of sum_e counts[..., e] * zeta_m^e, the
-    last axis running over e = 0..m-1, exactly.  zeta^e for e < phi(m) is
-    a basis vector, so only the counts of the higher powers go through
-    the power table: in int64 when the bound
-    CyclotomicInteger.from_root_counts uses rules out overflow, in Python
-    integers (object dtype) otherwise."""
-    phi = euler_phi(m)
-    power = _power_table(m)[phi:m]
-    high = counts[..., phi:]
-    if power.dtype == object or counts.dtype == object or (
-        int(np.abs(counts).max(initial=0)) * _table_row_bound(m) * m >= _INT64_SAFE
-    ):
-        high, power = high.astype(object), power.astype(object)
-    return counts[..., :phi] + high @ power
 
 
 def character_values(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> np.ndarray:

@@ -126,6 +126,22 @@ def _table_row_bound(m: int) -> int:
     return int(np.abs(tab).sum(axis=0).max())
 
 
+def reduce_root_counts(counts: np.ndarray, m: int) -> np.ndarray:
+    """Power-basis coordinates of sum_e counts[..., e] * zeta_m^e, the
+    last axis running over e = 0..m-1, exactly.  zeta^e for e < phi(m) is
+    a basis vector, so only the counts of the higher powers go through
+    the power table: in int64 when max|count| * _table_row_bound(m) * m
+    rules out overflow, in Python integers (object dtype) otherwise."""
+    phi = euler_phi(m)
+    power = _power_table(m)[phi:m]
+    high = counts[..., phi:]
+    if power.dtype == object or counts.dtype == object or (
+        int(np.abs(counts).max(initial=0)) * _table_row_bound(m) * m >= _INT64_SAFE
+    ):
+        high, power = high.astype(object), power.astype(object)
+    return counts[..., :phi] + high @ power
+
+
 class CyclotomicInteger:
     """An element of Z[zeta_m] in the power basis mod Phi_m."""
 
@@ -156,16 +172,7 @@ class CyclotomicInteger:
         cnt = np.asarray(counts)
         if cnt.shape != (m,):
             raise SpecError(f"expected {m} counts, got shape {cnt.shape}")
-        tab = _power_table(m)[:m]
-        if tab.dtype == object or cnt.dtype == object:
-            vec = (cnt.astype(object) @ tab.astype(object))
-        else:
-            bound = int(np.abs(cnt).max(initial=0)) * _table_row_bound(m) * 1
-            if bound * m >= _INT64_SAFE:
-                vec = cnt.astype(object) @ tab.astype(object)
-            else:
-                vec = cnt.astype(np.int64) @ tab
-        return cls(m, tuple(int(v) for v in vec))
+        return cls(m, tuple(int(v) for v in reduce_root_counts(cnt, m)))
 
     # -- conversions --------------------------------------------------------
     def lift(self, m2: int) -> "CyclotomicInteger":

@@ -8,6 +8,7 @@ the descending eigenvalue order (behind a separation gate).
 
 from __future__ import annotations
 
+import contextlib
 import functools as ft
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,8 +16,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import character_values, reduce_root_counts
-from .cyclotomic import _INT64_SAFE, CyclotomicInteger
+from .algebra import character_values
+from .cyclotomic import _INT64_SAFE, CyclotomicInteger, reduce_root_counts
 from .errors import InvariantViolation, NotConnectedError, PrecisionError, SpecError
 from .groups import (
     AbelianGroup,
@@ -36,7 +37,7 @@ MAX_CLIQUE_ORDER = 200
 EIGENVALUE_GATE = 1e-9
 MIN_DPS = 20  # at 18 digits some renderings of 2cos(2 pi a/m) differ from dps 40 (README)
 MAX_DPS = 500  # the slowest accepted precision stays within seconds (README)
-DRG_CACHE_SIZE = 512  # distinct (group, connection set) checks, and spectra, kept
+DRG_CACHE_SIZE = 512  # distinct (group, connection set) checks kept
 
 
 class CayleyGraph:
@@ -345,14 +346,12 @@ class Eigensystem:
 def spectrum(graph: CayleyGraph, dps: int = 40) -> Eigensystem:
     """Exact eigenvalues chi_g(S) grouped by cyclotomic equality; the
     descending order is fixed numerically behind a separation gate.
-    Computed once per distinct (group, connection set, dps) and then
-    shared; dps outside [MIN_DPS, MAX_DPS] is refused."""
+    dps outside [MIN_DPS, MAX_DPS] is refused."""
     if not MIN_DPS <= dps <= MAX_DPS:
         raise SpecError(f"precision {dps} outside [{MIN_DPS}, {MAX_DPS}] decimal digits")
     return _spectrum(graph.group, tuple(graph.connection_indices().tolist()), dps)
 
 
-@ft.lru_cache(maxsize=DRG_CACHE_SIZE)
 def _spectrum(group: AbelianGroup, connection: Tuple[int, ...], dps: int) -> Eigensystem:
     m = group.exponent
     keys, label = _distinct_rows(character_values(group, [connection])[:, 0])
@@ -363,11 +362,7 @@ def _spectrum(group: AbelianGroup, connection: Tuple[int, ...], dps: int) -> Eig
     if not np.array_equal(reduce_root_counts(conjugate, m), keys):
         raise InvariantViolation("eigenvalue of an inverse-closed set must be real")
     rows = keys.tolist()
-    if keys[:, 1:].any():
-        order, numerics = _numeric_order(m, rows, dps)
-    else:  # rational integers; float(k) == float(mpf(k)) as |k| <= |G| < 2^53
-        order = sorted(range(len(rows)), key=lambda u: rows[u][0], reverse=True)
-        numerics = [float(rows[u][0]) for u in order]
+    order, numerics = _numeric_order(m, rows, dps)
     _eigensystem_invariants(group, len(connection), keys, counts)
     values = tuple(CyclotomicInteger(m, rows[u]) for u in order)
     mults = tuple(int(counts[u]) for u in order)
@@ -397,12 +392,16 @@ def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _numeric_order(m: int, rows: List[List[int]], dps: int) -> Tuple[List[int], List[float]]:
     """Descending order of the values with coordinates rows at conductor
-    m, and their floats, behind the imaginary-part and separation gates;
-    mpmath evaluates only the irrational values."""
-    import mpmath
+    m, and their floats, behind the imaginary-part and separation gates.
+    A rational integer k sorts as itself and renders as float(k), equal
+    to float(mpf(k)) as |k| <= |G| < 2^53; mpmath is imported and run
+    only when some value is irrational."""
+    irrational = any(any(row[1:]) for row in rows)
+    if irrational:
+        import mpmath
 
     entries = []
-    with mpmath.workdps(dps):
+    with mpmath.workdps(dps) if irrational else contextlib.nullcontext():
         for u, row in enumerate(rows):
             if any(row[1:]):
                 z = CyclotomicInteger(m, row).numeric(dps)
@@ -410,7 +409,7 @@ def _numeric_order(m: int, rows: List[List[int]], dps: int) -> Tuple[List[int], 
                     raise InvariantViolation("real eigenvalue evaluated with a large imaginary part")
                 entries.append((mpmath.mpf(z.real), u))
             else:
-                entries.append((mpmath.mpf(row[0]), u))
+                entries.append((row[0], u))
         entries.sort(key=lambda e: e[0], reverse=True)
         for (x1, u1), (x2, u2) in zip(entries, entries[1:]):
             if abs(x1 - x2) < EIGENVALUE_GATE:

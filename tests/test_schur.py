@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drgcayley import algebra, schur
+from drgcayley import cyclotomic, schur
 from drgcayley.algebra import character_values
 from drgcayley.cli import run
 from drgcayley.cyclotomic import CyclotomicInteger, euler_phi
@@ -403,7 +403,7 @@ def test_character_values_object_fallback(monkeypatch, moduli):
     group = make_group(moduli)
     classes = [[0], list(range(1, group.order, 2)), list(range(2, group.order, 2))]
     exact = character_values(group, classes)
-    monkeypatch.setattr(algebra, "_INT64_SAFE", 1)
+    monkeypatch.setattr(cyclotomic, "_INT64_SAFE", 1)
     wide = character_values(group, classes)
     assert wide.dtype == object
     assert wide.tolist() == exact.tolist()

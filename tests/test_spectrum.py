@@ -1,6 +1,6 @@
 """The exact spectrum against the mpmath-bucket code it replaced (kept
-here verbatim as a reference oracle), its per-graph memo, the per-ring
-memos of the Schur analysis, and the lazy mpmath import."""
+here verbatim as a reference oracle), the per-ring memos of the Schur
+analysis, and the lazy mpmath import."""
 
 import os
 import subprocess
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgcayley import algebra, graphs, schur
+from drgcayley import cyclotomic, graphs, schur
 from drgcayley.algebra import character_values
 from drgcayley.classify import verify_circulant_theorem
 from drgcayley.cyclotomic import CyclotomicInteger
@@ -115,12 +115,10 @@ def test_spectrum_matches_reference_on_the_circulant_sweep():
 @pytest.mark.parametrize("graph", [cycle_graph(7), srg942(), hypercube4()], ids=repr)
 def test_spectrum_through_the_object_dtype_fallback(monkeypatch, graph):
     want = reference_spectrum(graph)
-    monkeypatch.setattr(algebra, "_INT64_SAFE", 1)  # character values in Python integers
+    monkeypatch.setattr(cyclotomic, "_INT64_SAFE", 1)  # character values in Python integers
     monkeypatch.setattr(graphs, "_INT64_SAFE", 1)
     assert character_values(graph.group, [graph.connection_indices()]).dtype == object
-    graphs._spectrum.cache_clear()
     got = spectrum(graph)
-    graphs._spectrum.cache_clear()
     assert got.values == want.values
     assert [x.hex() for x in got.numerics] == [x.hex() for x in want.numerics]
     assert (got.multiplicities, got.level_sets) == (want.multiplicities, want.level_sets)
@@ -151,7 +149,7 @@ def test_invariants_accept_the_true_spectrum_and_refuse_perturbed_ones():
 
 @pytest.mark.parametrize("moduli, connection", [((5,), (1,)), ((4,), (1, 2)), ((3, 3), (1, 3, 6))])
 def test_a_set_that_is_not_inverse_closed_has_a_non_real_eigenvalue(moduli, connection):
-    # CayleyGraph refuses such sets; the cached kernel must still notice
+    # CayleyGraph refuses such sets; the kernel must still notice
     with pytest.raises(InvariantViolation, match="must be real"):
         graphs._spectrum(make_group(moduli), connection, 40)
 
@@ -164,33 +162,7 @@ def test_spectrum_refuses_precision_outside_its_bounds(dps):
 
 
 # ---------------------------------------------------------------------------
-# memos
-
-
-def test_spectrum_memo_shares_one_result_between_equal_groups():
-    graphs._spectrum.cache_clear()
-    first = spectrum(srg942())
-    again = spectrum(srg942())  # a separately built, equal group
-    assert again is first
-    assert graphs._spectrum.cache_info().hits == 1
-
-
-def test_spectrum_memo_keeps_each_precision_apart():
-    graphs._spectrum.cache_clear()
-    low = spectrum(cycle_graph(5), 40)
-    high = spectrum(cycle_graph(5), 60)
-    assert high is not low
-    assert graphs._spectrum.cache_info().misses == 2
-    assert high.values == low.values
-
-
-def test_spectrum_memo_recomputes_after_cache_clear():
-    first = spectrum(hypercube4())
-    graphs._spectrum.cache_clear()
-    fresh = spectrum(hypercube4())
-    assert fresh is not first
-    assert fresh == first
-    assert graphs._spectrum.cache_info().misses == 1
+# Schur analysis memos
 
 
 def _analyse(graph: CayleyGraph) -> None:
