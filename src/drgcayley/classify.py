@@ -10,11 +10,14 @@ order, so consecutive sets differ by one orbit and conv(S) is updated in
 place, and it decides constancy in integers: values c on a set of size k
 are constant iff k * sum(c^2) == sum(c)^2 (the equality case of
 Cauchy-Schwarz).  It can only over-approximate the answer set, never drop
-a graph; the final verdict always comes from the exact check.
+a graph.
 
-Blocks of subset ids split statically across worker processes and the
-report is assembled from the merged verdicts alone, which keeps its
-serialized form byte-identical for any worker count.
+Blocks of subset ids split statically across worker processes, which
+return the screen's survivors with their Aut(G) canonical forms.  An
+automorphism sigma maps Cay(G, S) onto Cay(G, sigma S), so
+`classify_group` makes the final, exact check once per canonical form on
+the merged survivors; the report's serialized form is therefore
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import get_context
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,10 +85,12 @@ def connection_set_count(group: AbelianGroup) -> int:
     return 1 << len(inverse_pair_basis(group))
 
 
+def _mask_indices(basis, mask: int) -> List[int]:
+    return [i for j in range(len(basis)) if mask >> j & 1 for i in basis[j]]
+
+
 def _set_of_mask(group: AbelianGroup, basis, mask: int) -> frozenset:
-    return frozenset(
-        group.from_index(i) for j in range(len(basis)) if mask >> j & 1 for i in basis[j]
-    )
+    return frozenset(group.from_index(i) for i in _mask_indices(basis, mask))
 
 
 def enumerate_connection_sets(group: AbelianGroup, limit: int = MAX_SUBSETS) -> Iterator[frozenset]:
@@ -238,34 +243,20 @@ def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
     return connected, ids
 
 
-def _scan_range(args) -> Tuple[int, int, List[Tuple[int, Tuple[int, ...]]]]:
-    """Worker body: (moduli, lo, hi, use_aut) -> (connected, survivors,
-    [(id, canonical form)] of the distance-regular sets), lo and hi being
-    multiples of 2^L.
+def _scan_range(args) -> Tuple[int, List[Tuple[int, Tuple[int, ...]]]]:
+    """Worker body: (moduli, lo, hi) -> (connected, [(id, canonical form)]
+    of the screen's survivors), lo and hi being multiples of 2^L.
 
     Pure over immutable tables, so any block-aligned partition of the id
     space yields the same merged result.
     """
-    moduli, lo, hi, use_aut = args
+    moduli, lo, hi = args
     tab = _tables(tuple(moduli))
-    group, basis = tab.group, tab.basis
     connected, ids = _screen(tab, lo, hi)
-    drg: List[Tuple[int, Tuple[int, ...]]] = []
-    verdicts: Dict[Tuple[int, ...], bool] = {}
-    for sid in ids.tolist():
-        indices = [i for j in range(tab.B) if sid >> j & 1 for i in basis[j]]
-        if use_aut:
-            canon = canonicalize_connection_set(group, indices)
-            verdict = verdicts.get(canon)
-            if verdict is None:
-                graph = CayleyGraph(group, [group.from_index(i) for i in canon])
-                verdict = verdicts[canon] = check_distance_regular(graph).ok
-        else:
-            graph = CayleyGraph(group, [group.from_index(i) for i in indices])
-            verdict = check_distance_regular(graph).ok
-        if verdict:
-            drg.append((sid, canon if use_aut else canonicalize_connection_set(group, indices)))
-    return connected, len(ids), drg
+    return connected, [
+        (sid, canonicalize_connection_set(tab.group, _mask_indices(tab.basis, sid)))
+        for sid in ids.tolist()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +266,6 @@ def _scan_range(args) -> Tuple[int, int, List[Tuple[int, Tuple[int, ...]]]]:
 @dataclass(frozen=True)
 class SearchSpec:
     group: AbelianGroup
-    use_aut_reduction: bool = True
     workers: int = 1
     max_subsets: int = MAX_SUBSETS
 
@@ -324,8 +314,6 @@ class ClassificationReport:
     records: Tuple[DRGRecord, ...]
     families: Tuple[Tuple[str, int], ...]
     anomalies: Tuple[DRGRecord, ...]
-    workers: int
-    aut_reduction: bool
     elapsed: float
 
     def drg_multiset(self) -> List[Tuple[frozenset, str]]:
@@ -402,28 +390,27 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
     blocks = total >> L
     workers = min(spec.workers, blocks)
     bounds = [(blocks * w // workers) << L for w in range(workers + 1)]
-    jobs = [
-        (group.moduli, bounds[w], bounds[w + 1], spec.use_aut_reduction)
-        for w in range(workers)
-        if bounds[w] < bounds[w + 1]
-    ]
+    jobs = [(group.moduli, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
         results = [_scan_range(jobs[0])]
     else:
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             results = list(pool.map(_scan_range, jobs))
-    connected = sum(r[0] for r in results)
-    screened = sum(r[1] for r in results)
-    drg = sorted(pair for r in results for pair in r[2])
+    survivors = sorted(pair for r in results for pair in r[1])
 
     by_canon: Dict[Tuple[int, ...], List[Tuple[GroupElement, ...]]] = {}
-    for sid, canon in drg:
-        indices = [i for j in range(len(basis)) if sid >> j & 1 for i in basis[j]]
-        by_canon.setdefault(canon, []).append(_sorted_element_tuple(group, indices))
+    for sid, canon in survivors:
+        members = by_canon.setdefault(canon, [])
+        members.append(_sorted_element_tuple(group, _mask_indices(basis, sid)))
     records = []
     for canon in sorted(by_canon, key=lambda c: (len(c), c)):
         conn = _sorted_element_tuple(group, canon)
-        # the DRG family is Aut(G)-invariant, so a class is a whole orbit
+        # sigma in Aut(G) maps Cay(G, S) onto Cay(G, sigma S), so one exact
+        # check decides the class, and a DRG class is a whole orbit
+        graph = CayleyGraph(group, conn)
+        check = check_distance_regular(graph)
+        if not check.ok:
+            continue
         found, expected = len(by_canon[canon]), orbit_size(group, canon)
         if found != expected:
             raise InvariantViolation(
@@ -434,10 +421,6 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
                     "found": found,
                 },
             )
-        graph = CayleyGraph(group, conn)
-        check = check_distance_regular(graph)
-        if not check.ok or check.array is None:
-            raise InvariantViolation(f"scan reported a non-DRG set {conn}")
         info = imprimitivity(graph, check)
         primitive = check.array.d <= 1 or (not info.bipartite and not info.antipodal)
         records.append(
@@ -458,14 +441,12 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
     return ClassificationReport(
         group=group,
         total_sets=total,
-        connected_sets=connected,
-        screened_sets=screened,
-        drg_count=len(drg),
+        connected_sets=sum(r[0] for r in results),
+        screened_sets=len(survivors),
+        drg_count=sum(rec.count for rec in records),
         records=tuple(records),
         families=tuple(sorted(fam_counts.items())),
         anomalies=tuple(rec for rec in records if rec.family.kind == "none"),
-        workers=workers,
-        aut_reduction=spec.use_aut_reduction,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -537,44 +518,25 @@ def _diff_against(report: ClassificationReport, catalog: Sequence[CatalogEntry])
     )
 
 
-def _run_spec(
-    group: AbelianGroup, workers: int, use_aut_reduction: bool, max_subsets: int
-) -> ClassificationReport:
-    return classify_group(
-        SearchSpec(
-            group=group,
-            use_aut_reduction=use_aut_reduction,
-            workers=workers,
-            max_subsets=max_subsets,
-        )
-    )
-
-
 def verify_main_theorem(
-    group: AbelianGroup,
-    workers: int = 1,
-    use_aut_reduction: bool = True,
-    max_subsets: int = MAX_SUBSETS,
+    group: AbelianGroup, workers: int = 1, max_subsets: int = MAX_SUBSETS
 ) -> CatalogDiff:
     """Exhaustively classify Z_n + Z_p and diff against the expected
     families (complete, multipartite, crown, subgroup-line unions)."""
     catalog = expected_catalog(group)
-    report = _run_spec(group, workers, use_aut_reduction, max_subsets)
+    report = classify_group(SearchSpec(group, workers=workers, max_subsets=max_subsets))
     return _diff_against(report, catalog)
 
 
 def verify_circulant_theorem(
-    n: int,
-    workers: int = 1,
-    use_aut_reduction: bool = True,
-    max_subsets: int = MAX_SUBSETS,
+    n: int, workers: int = 1, max_subsets: int = MAX_SUBSETS
 ) -> CatalogDiff:
     """Exhaustively classify Z_n and diff against the five circulant
     families (cycle, complete, multipartite, crown, Paley)."""
     if not 1 <= n <= 33:
         raise SpecError("circulant verification covers 1 <= n <= 33")
     catalog = expected_circulant_catalog(n)
-    report = _run_spec(make_group([n]), workers, use_aut_reduction, max_subsets)
+    report = classify_group(SearchSpec(make_group([n]), workers=workers, max_subsets=max_subsets))
     return _diff_against(report, catalog)
 
 
@@ -610,7 +572,6 @@ class NonexistenceReport:
 def nonexistence_report(
     source: Union[AbelianGroup, ClassificationReport],
     workers: int = 1,
-    use_aut_reduction: bool = True,
     max_subsets: int = MAX_SUBSETS,
 ) -> NonexistenceReport:
     """Check the classification output for sets the theory rules out;
@@ -618,7 +579,7 @@ def nonexistence_report(
     if isinstance(source, ClassificationReport):
         report = source
     else:
-        report = _run_spec(source, workers, use_aut_reduction, max_subsets)
+        report = classify_group(SearchSpec(source, workers=workers, max_subsets=max_subsets))
     group = report.group
     if len(group.moduli) != 2 or group.moduli[1] == 2 or not is_prime(group.moduli[1]) or group.moduli[0] % group.moduli[1]:
         raise SpecError("nonexistence assertions apply to Z_n + Z_p with p an odd prime dividing n")

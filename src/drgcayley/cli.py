@@ -342,14 +342,13 @@ def _search_inputs(args) -> dict:
     return {
         "group": args.group,
         "limit": args.limit,
-        "aut_reduction": not args.no_aut_reduction,
+        "aut_reduction": True,  # always on; kept so report bytes stay stable
     }
 
 
 def _search_kwargs(args) -> dict:
     return {
         "workers": args.jobs,
-        "use_aut_reduction": not args.no_aut_reduction,
         "max_subsets": args.limit,
     }
 
@@ -411,11 +410,8 @@ def _cmd_recheck(args) -> Payload:
     argv = list(data["command"].split())
     inputs = data["inputs"]
     for key, value in sorted(inputs.items()):
-        if key == "aut_reduction":
-            if not value:
-                argv.append("--no-aut-reduction")
-            continue
-        argv.extend([f"--{key}", str(value)])
+        if key != "aut_reduction":
+            argv.extend([f"--{key}", str(value)])
     parser = build_parser()
     try:
         fresh = parser.parse_args(argv)
@@ -451,8 +447,6 @@ def _add_graph_args(sub) -> None:
 def _add_search_args(sub) -> None:
     sub.add_argument("--jobs", type=int, default=1, help="worker processes")
     sub.add_argument("--limit", type=int, default=MAX_SUBSETS, help="max subsets to enumerate")
-    sub.add_argument("--no-aut-reduction", action="store_true",
-                     help="exact-check every survivor instead of one per Aut(G) class")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -271,6 +271,11 @@ def test_classify_text_is_deterministic(capsys):
     assert "wall time" in err and "wall time" not in out
 
 
+def test_removed_aut_reduction_flag_is_a_usage_error(capsys):
+    code, _, _ = invoke(capsys, "classify", "--group", "3,3", "--no-aut-reduction")
+    assert code == 2
+
+
 def test_classify_limit_flag(capsys):
     code, _, err = invoke(capsys, "classify", "--group", "12,3", "--limit", "1000")
     assert code == 2
@@ -336,6 +341,16 @@ def test_recheck_detects_tampering(tmp_path, capsys):
     code, out2, _ = invoke(capsys, "recheck", "--input", _save(tmp_path, json.dumps(data)))
     assert code == 1
     assert "drg" in out2
+
+
+def test_recheck_of_a_report_without_aut_reduction_mismatches_inputs(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "--format", "json", "classify", "--group", "3,3")
+    data = json.loads(out)
+    data["inputs"]["aut_reduction"] = False
+    code, out2 = invoke_json(capsys, "recheck", "--input", _save(tmp_path, json.dumps(data)))
+    assert code == 1
+    assert out2["match"] is False
+    assert out2["mismatched_keys"] == ["inputs"]
 
 
 def test_recheck_rejects_foreign_json(tmp_path, capsys):

@@ -246,12 +246,18 @@ def test_enumeration_stage_finds_known_set():
 
 
 def test_symmetric_candidates_are_negation_closed():
-    for v, k in [(7, 3)]:
-        pass
     cands = list(_symmetric_candidates(8, 4))
     for idx in cands:
         assert sorted((8 - i) % 8 for i in idx) == list(idx)
     assert len(set(cands)) == len(cands)
+
+
+def test_search_refuses_the_one_size_its_filters_pass():
+    # (40, 13, 4, 81) and (40, 27, 4, 81) are the only cases past the
+    # filters anywhere in the domain; C(40, 13) exceeds the enumeration cap
+    assert monomial_pas_search(40, 4, 80) == []
+    with pytest.raises(SpecError):
+        monomial_pas_search(40, 4, 81)
 
 
 def test_search_domain_guards():

@@ -29,11 +29,11 @@ def test_report_matches_golden_digest(key):
 def test_class_size_witness_reaches_cli_json(monkeypatch, capsys):
     scan = classify._scan_range
 
-    def drop_first_drg(args):
-        connected, survivors, drg_ids = scan(args)
-        return connected, survivors, drg_ids[1:]
+    def drop_first_survivor(args):
+        connected, survivors = scan(args)
+        return connected, survivors[1:]
 
-    monkeypatch.setattr(classify, "_scan_range", drop_first_drg)
+    monkeypatch.setattr(classify, "_scan_range", drop_first_survivor)
     code = run(["--format", "json", "classify", "--group", "3,3"])
     data = json.loads(capsys.readouterr().out)
     assert code == 3

@@ -87,15 +87,14 @@ def test_block_partitions_match_reference(data):
         mp.setattr(classify, "HIGH_BITS", high)
         L = classify._low_bits(tab.B)
         ranges = [(lo << L, hi << L) for lo, hi in zip(bounds, bounds[1:])]
-        parts = [classify._scan_range((moduli, lo, hi, True)) for lo, hi in ranges]
+        parts = [classify._scan_range((moduli, lo, hi)) for lo, hi in ranges]
         ids = set()
         for lo, hi in ranges:
             ids.update(classify._screen(tab, lo, hi)[1].tolist())
     connected, survivors = reference_screen(moduli)
     assert sum(p[0] for p in parts) == connected
-    assert sum(p[1] for p in parts) == len(survivors)
     assert ids == survivors
-    assert {sid for p in parts for sid, _ in p[2]} <= survivors
+    assert [sid for p in parts for sid, _ in p[1]] == sorted(survivors)
 
 
 @settings(max_examples=60, deadline=None)
