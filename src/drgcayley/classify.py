@@ -7,10 +7,11 @@ connectivity, a first-level screen (common-neighbour counts must be
 constant on the set and on its coverage ring), and the full
 distance-regularity check.  The screen walks the low orbit bits in Gray
 order, so consecutive sets differ by one orbit and conv(S) is updated in
-place, and it decides constancy in integers: values c on a set of size k
-are constant iff k * sum(c^2) == sum(c)^2 (the equality case of
-Cauchy-Schwarz).  It can only over-approximate the answer set, never drop
-a graph.
+place.  It keeps one row per {g,-g} orbit rather than per element, since
+an inverse-closed S has conv(S)[g] == conv(S)[-g], and it decides
+constancy in integers: values c on k orbit rows are constant iff
+k * sum(c^2) == sum(c)^2 (the equality case of Cauchy-Schwarz).  It can
+only over-approximate the answer set, never drop a graph.
 
 Blocks of subset ids split statically across worker processes, which
 return the screen's survivors with their Aut(G) canonical forms.  An
@@ -119,7 +120,13 @@ def _low_bits(B: int) -> int:
 
 
 class _ScanTables:
-    """Per-process immutable arrays driving the Gray-code screen."""
+    """Per-process immutable arrays driving the Gray-code screen.
+
+    The screen keeps one row per {g,-g} orbit: row 0 is the zero element
+    and row j + 1 is orbit j of `inverse_pair_basis`, read at its least
+    member rep_{j+1}.  Every set in the search space is inverse-closed, so
+    its indicator and conv(S) are constant on each orbit.
+    """
 
     def __init__(self, moduli: Tuple[int, ...]):
         group = make_group(moduli)
@@ -128,12 +135,19 @@ class _ScanTables:
         if group.index(group.zero) != 0:
             raise InvariantViolation("zero must sit at element index 0")
         add = group.add_table()
-        # self_conv[j] = {g: #{(x, y) in o_j^2 : x + y = g}}, the o_j * o_j
-        # term of every update; it has at most three entries.
+        row_of = np.zeros(group.order, dtype=np.intp)
+        for j, orb in enumerate(basis):
+            row_of[list(orb)] = j + 1
+        reps = [0] + [orb[0] for orb in basis]
+        # self_conv[j] = {row r: #{(x, y) in o_j^2 : x + y = rep_r}}, the
+        # o_j * o_j term of every update; it has at most three entries.  It
+        # is read at representatives only: the count at -rep_r is equal.
         self_conv = []
         for orb in basis:
             counts: Counter = Counter(int(add[x, y]) for x in orb for y in orb)
-            self_conv.append(tuple(sorted(counts.items())))
+            self_conv.append(
+                tuple(sorted((int(row_of[g]), c) for g, c in counts.items() if reps[row_of[g]] == g))
+            )
         outside_masks = []
         for sub in maximal_subgroups(group):
             members = set(sub.indices())
@@ -145,7 +159,8 @@ class _ScanTables:
         self.group = group
         self.basis = basis
         self.B = B
-        self.sub = group.sub_table()
+        # gather[r, x]: the row of rep_r - x
+        self.gather = row_of[group.sub_table()[reps]]
         self.self_conv = tuple(self_conv)
         self.outside_masks = tuple(outside_masks)
 
@@ -158,27 +173,29 @@ def _tables(moduli: Tuple[int, ...]) -> _ScanTables:
 def _orbit_delta(
     tab: _ScanTables, ind: np.ndarray, j: int, out: np.ndarray, tmp: np.ndarray
 ) -> np.ndarray:
-    """conv(T + o_j) - conv(T) per column, into `out`, for the sets T in
-    `ind` (no element of o_j among them): 2 * (o_j * T) + o_j * o_j, where
-    (o_j * T)[g] is the sum over x in o_j of T[g - x]."""
+    """conv(T + o_j) - conv(T) per column, into `out`, on orbit rows, for
+    the sets T in `ind` (orbit rows; o_j not among them): 2 * (o_j * T) +
+    o_j * o_j, where (o_j * T)[g] is the sum over x in o_j of T[g - x],
+    read at g = rep_r for row r."""
     # mode="clip" lets take write into `out` unbuffered; the indices are
-    # group elements, so none is clipped.
+    # orbit rows, so none is clipped.
     orb = tab.basis[j]
-    np.take(ind, tab.sub[:, orb[0]], axis=0, out=out, mode="clip")
+    np.take(ind, tab.gather[:, orb[0]], axis=0, out=out, mode="clip")
     if len(orb) == 2:
-        out += np.take(ind, tab.sub[:, orb[1]], axis=0, out=tmp, mode="clip")
+        out += np.take(ind, tab.gather[:, orb[1]], axis=0, out=tmp, mode="clip")
     out *= 2
-    for g, count in tab.self_conv[j]:
-        out[g] += count
+    for r, count in tab.self_conv[j]:
+        out[r] += count
     return out
 
 
 def _constant(vals: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per column: are the integers in `vals`, zero off a set of size k,
-    constant on that set?  By Cauchy-Schwarz k * sum(c^2) >= sum(c)^2, with
-    equality exactly when they are.  The column sums may run in int32:
-    entries are at most |S| < n, so they stay below n^3, and n <= 2B + 1
-    is far below 1290 for any enumerable B."""
+    """Per column: are the integers in `vals`, zero off a set of k rows,
+    constant on those rows?  By Cauchy-Schwarz k * sum(c^2) >= sum(c)^2,
+    with equality exactly when they are.  The column sums may run in int32:
+    entries are at most |S| < n on B + 1 <= n rows, so sum(c^2) <
+    (B + 1) * n^2 <= n^3, and n <= 2B + 1 is far below 1290 for any
+    enumerable B."""
     s1 = np.einsum("ij->j", vals).astype(np.int64)
     s2 = np.einsum("ij,ij->j", vals, vals).astype(np.int64)
     return k * s2 == s1 * s1
@@ -192,19 +209,21 @@ def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
     Both conditions are necessary for distance-regularity: conv(S)[g] is the
     number of common neighbours of 0 and g (a_1 on S itself, c_2 on the
     nonzero elements it covers outside itself).  Each prefix is one column
-    of `ind` (the indicator of S) and `conv`; the walk toggles one low orbit
-    per step, in Gray order, and updates every column at once.
+    of `ind` (the indicator of S) and `conv`, both on the B + 1 orbit rows:
+    conv is constant on S (or on its coverage ring) iff it is constant on
+    their orbit representatives.  The walk toggles one low orbit per step,
+    in Gray order, and updates every column at once.
     """
     L = _low_bits(tab.B)
     if lo % (1 << L) or hi % (1 << L):
         raise InvariantViolation(f"scan range [{lo}, {hi}) is not aligned to blocks of 2^{L} ids")
     prefixes = np.arange(lo >> L, hi >> L, dtype=np.int64)
-    ind = np.zeros((tab.group.order, len(prefixes)), dtype=np.int32)
+    ind = np.zeros((tab.B + 1, len(prefixes)), dtype=np.int32)
     conv, delta, tmp = np.zeros_like(ind), np.empty_like(ind), np.empty_like(ind)
     for j in range(L, tab.B):
         bit = ((prefixes >> (j - L)) & 1).astype(np.int32)
         conv += _orbit_delta(tab, ind, j, delta, tmp) * bit
-        ind[list(tab.basis[j]), :] = bit
+        ind[j + 1] = bit
     k_high = ind.sum(axis=0, dtype=np.int64)
     # inside_high[m, c]: the high orbits of prefix c all lie in maximal
     # subgroup m; S is disconnected iff that also holds for its low orbits.
@@ -218,15 +237,14 @@ def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
         if t:
             j = (t & -t).bit_length() - 1
             low ^= 1 << j
-            orb = list(tab.basis[j])
             if low >> j & 1:
                 conv += _orbit_delta(tab, ind, j, delta, tmp)
-                ind[orb, :] = 1
-                k_low += len(orb)
+                ind[j + 1] = 1
+                k_low += 1
             else:
-                ind[orb, :] = 0
+                ind[j + 1] = 0
                 conv -= _orbit_delta(tab, ind, j, delta, tmp)
-                k_low -= len(orb)
+                k_low -= 1
         inside = [m for m, mask in enumerate(tab.outside_masks) if not low & mask]
         conn = ~inside_high[inside].any(axis=0)
         connected += int(conn.sum())

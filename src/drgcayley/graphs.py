@@ -433,7 +433,9 @@ def _eigensystem_invariants(group: AbelianGroup, degree: int, keys: np.ndarray, 
     big = int(np.abs(keys).max(initial=0)) ** 2 * n * phi
     if keys.dtype == object or big >= _INT64_SAFE:
         keys = keys.astype(object)
-    outer = keys.T @ (keys * mults[:, None])
+    # not keys.T @ ...: numpy has no integer BLAS, and its int64 matmul
+    # loop is about 7x slower than einsum's on long cycles (Z_2039)
+    outer = np.einsum("ia,ib->ab", keys, keys * mults[:, None])
     skew = np.zeros((phi, 2 * phi + 1), dtype=outer.dtype)
     skew[:, :phi] = outer
     folded = skew.ravel()[: 2 * phi * phi].reshape(phi, 2 * phi).sum(axis=0)[: 2 * phi - 1]

@@ -97,6 +97,42 @@ def test_block_partitions_match_reference(data):
     assert [sid for p in parts for sid, _ in p[1]] == sorted(survivors)
 
 
+# singleton and pair orbits mixed, and Z_2^4 with singletons only (B + 1 = |G|)
+ORBIT_ROW_GROUPS = GROUPS + [(8, 2), (4, 2, 2), (14, 2), (2, 2, 2, 2)]
+
+
+def _element_conv(group, elements):
+    """conv(T)[g] = #{(x, y) in T^2 : x + y = g}, over every element."""
+    conv = np.zeros(group.order, dtype=np.int64)
+    np.add.at(conv, group.add_table()[np.ix_(elements, elements)].ravel(), 1)
+    return conv
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_orbit_delta_on_orbit_rows_matches_element_convolution(data):
+    moduli = data.draw(st.sampled_from(ORBIT_ROW_GROUPS))
+    group = make_group(moduli)
+    tab = classify._tables(moduli)
+    if tab.B == 0:
+        return
+    j = data.draw(st.integers(0, tab.B - 1))
+    masks = data.draw(st.lists(st.integers(0, (1 << tab.B) - 1), min_size=1, max_size=3))
+    masks = [mask & ~(1 << j) for mask in masks]
+    reps = [0] + [orb[0] for orb in tab.basis]
+    # row 0 is the zero element, never in a connection set; row i + 1 is orbit i
+    ind = np.array(
+        [[0] * len(masks)] + [[mask >> i & 1 for mask in masks] for i in range(tab.B)], dtype=np.int32
+    )
+    out, tmp = np.empty_like(ind), np.empty_like(ind)
+    got = classify._orbit_delta(tab, ind, j, out, tmp)
+    for col, mask in enumerate(masks):
+        elems = classify._mask_indices(tab.basis, mask)
+        grown = elems + list(tab.basis[j])
+        want = _element_conv(group, grown) - _element_conv(group, elems)
+        assert got[:, col].tolist() == want[reps].tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_screen_keeps_every_distance_regular_set(data):

@@ -112,7 +112,7 @@ def test_spectrum_matches_reference_on_the_circulant_sweep():
         _same_spectrum(graph)
 
 
-@pytest.mark.parametrize("graph", [cycle_graph(7), srg942(), hypercube4()], ids=repr)
+@pytest.mark.parametrize("graph", [cycle_graph(7), srg942(), hypercube4(), cycle_graph(211)], ids=repr)
 def test_spectrum_through_the_object_dtype_fallback(monkeypatch, graph):
     want = reference_spectrum(graph)
     monkeypatch.setattr(cyclotomic, "_INT64_SAFE", 1)  # character values in Python integers
@@ -145,6 +145,27 @@ def test_invariants_accept_the_true_spectrum_and_refuse_perturbed_ones():
                 graphs._eigensystem_invariants(group, graph.degree, bent, mults)
     with pytest.raises(InvariantViolation, match="squared"):
         graphs._eigensystem_invariants(group, graph.degree + 1, keys, mults)
+
+
+def test_invariants_agree_on_the_int64_and_object_products():
+    graph = cycle_graph(211)
+    group = graph.group
+    keys, label = graphs._distinct_rows(character_values(group, [graph.connection_indices()])[:, 0])
+    mults = np.bincount(label)
+    bent = keys.copy()
+    bent[1, 5] += 1
+    bent[2, 5] -= 1  # equal multiplicities: the trace holds, the squares do not
+    for dtype in (keys.dtype, object):
+        graphs._eigensystem_invariants(group, graph.degree, keys.astype(dtype), mults)
+        with pytest.raises(InvariantViolation, match="squared"):
+            graphs._eigensystem_invariants(group, graph.degree, bent.astype(dtype), mults)
+
+
+def test_cycle_near_the_order_bound_has_its_full_spectrum():
+    got = spectrum(cycle_graph(1021))  # 2cos(2 pi k / 1021), k = 0..510
+    assert len(got.values) == 511
+    assert got.multiplicities == (1,) + (2,) * 510
+    assert got.numerics[0] == 2.0
 
 
 @pytest.mark.parametrize("moduli, connection", [((5,), (1,)), ((4,), (1, 2)), ((3, 3), (1, 3, 6))])
