@@ -8,13 +8,14 @@ one per character chi_g(x) = zeta_m^{e(g,x)}.
 
 from __future__ import annotations
 
+import functools as ft
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .cyclotomic import CyclotomicInteger, _power_table, euler_phi, reduce_root_counts
 from .errors import InvariantViolation, SpecError
-from .groups import AbelianGroup, GroupElement
+from .groups import GROUP_CACHE_SIZE, AbelianGroup, GroupElement
 
 MAX_FOURIER_ORDER = 512
 CHARACTER_CHUNK_ENTRIES = 1 << 18  # int64 entries per character_values temporary
@@ -108,19 +109,17 @@ class AlgebraElement:
 # Fourier analysis
 
 
+@ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def character_table(group: AbelianGroup) -> np.ndarray:
     """table[g, x] = e(g, x), the exponent with chi_g(x) = zeta_m^e, m the
     group exponent: one cached read-only (n, n) int32 matrix per group,
     rows and columns in index order (it is symmetric)."""
-    table = group._cache.get("character_table")
-    if table is None:
-        m = group.exponent
-        coords = group.coords_matrix()
-        weights = np.array([m // n for n in group.moduli], dtype=np.int64)
-        table = ((coords * weights) @ coords.T % m).astype(np.int32)
-        table.setflags(write=False)
-        group._cache["character_table"] = table
-    return table  # type: ignore[return-value]
+    m = group.exponent
+    coords = group.coords_matrix()
+    weights = np.array([m // n for n in group.moduli], dtype=np.int64)
+    table = ((coords * weights) @ coords.T % m).astype(np.int32)
+    table.setflags(write=False)
+    return table
 
 
 def character_values(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> np.ndarray:

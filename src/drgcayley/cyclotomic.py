@@ -126,20 +126,26 @@ def _table_row_bound(m: int) -> int:
     return int(np.abs(tab).sum(axis=0).max())
 
 
+def exact_dtype(bound: int, *arrays: np.ndarray):
+    """The dtype for exact integer arithmetic whose intermediates stay
+    below `bound` in absolute value: int64 when the bound rules out
+    overflow and no operand already holds Python integers, object
+    (Python integers) otherwise."""
+    if bound >= _INT64_SAFE or any(a.dtype == object for a in arrays):
+        return object
+    return np.int64
+
+
 def reduce_root_counts(counts: np.ndarray, m: int) -> np.ndarray:
     """Power-basis coordinates of sum_e counts[..., e] * zeta_m^e, the
     last axis running over e = 0..m-1, exactly.  zeta^e for e < phi(m) is
     a basis vector, so only the counts of the higher powers go through
-    the power table: in int64 when max|count| * _table_row_bound(m) * m
-    rules out overflow, in Python integers (object dtype) otherwise."""
+    the power table, bounded by max|count| * _table_row_bound(m) * m."""
     phi = euler_phi(m)
     power = _power_table(m)[phi:m]
-    high = counts[..., phi:]
-    if power.dtype == object or counts.dtype == object or (
-        int(np.abs(counts).max(initial=0)) * _table_row_bound(m) * m >= _INT64_SAFE
-    ):
-        high, power = high.astype(object), power.astype(object)
-    return counts[..., :phi] + high @ power
+    dtype = exact_dtype(int(np.abs(counts).max(initial=0)) * _table_row_bound(m) * m, counts, power)
+    high = counts[..., phi:].astype(dtype, copy=False)
+    return counts[..., :phi] + high @ power.astype(dtype, copy=False)
 
 
 class CyclotomicInteger:
@@ -257,15 +263,11 @@ class CyclotomicInteger:
         phi = euler_phi(m)
         amax = max((abs(c) for c in a.coeffs), default=0)
         bmax = max((abs(c) for c in b.coeffs), default=0)
-        conv_bound = phi * amax * bmax
-        if conv_bound * _table_row_bound(m) * (2 * phi) < _INT64_SAFE:
-            conv = np.convolve(np.array(a.coeffs, dtype=np.int64), np.array(b.coeffs, dtype=np.int64))
-            tab = _power_table(m)[: len(conv)]
-            vec = conv @ tab
-            return CyclotomicInteger(m, tuple(int(v) for v in vec))
-        conv = np.convolve(np.array(a.coeffs, dtype=object), np.array(b.coeffs, dtype=object))
-        tab = _power_table(m)[: len(conv)].astype(object)
-        vec = conv @ tab
+        tab = _power_table(m)[: 2 * phi - 1]
+        # each convolution entry is below phi * amax * bmax
+        dtype = exact_dtype(phi * amax * bmax * _table_row_bound(m) * (2 * phi), tab)
+        conv = np.convolve(np.array(a.coeffs, dtype=dtype), np.array(b.coeffs, dtype=dtype))
+        vec = conv @ tab.astype(dtype, copy=False)
         return CyclotomicInteger(m, tuple(int(v) for v in vec))
 
     def __rmul__(self, other) -> "CyclotomicInteger":

@@ -3,8 +3,8 @@
 Relative difference sets and polynomial addition sets are verified by
 exact convolution in the integer group algebra.  A monomial addition-set
 search over cyclic groups runs a stack of arithmetic filters (difference
-counting, character-value field membership, coset decompositions) before
-falling back to exhaustive enumeration.
+counting, character-value field membership, coset decompositions) and
+refuses any case they leave open.
 The module also provides Ma-style coset decompositions, direction sets
 of affine point sets over prime fields, and the level-set certificates
 carried by small-diameter antipodal covers.
@@ -250,7 +250,6 @@ def is_polynomial_addition_set(group: AbelianGroup, dset: Iterable[GroupElement]
 
 _PAS_MAX_MODULUS = 40
 _PAS_MAX_DEGREE = 5
-_PAS_ENUM_CAP = 200_000
 
 
 def _b_candidates(t: int, n: int, bound: int) -> Tuple[int, ...]:
@@ -357,71 +356,16 @@ def _rational_collapse_kill(v: int, k: int, branches) -> bool:
     return False
 
 
-def _monomial_profile(idx: Sequence[int], v: int, n: int) -> Optional[Tuple[int, int]]:
-    """Fold the n-th convolution power of the indicator of idx onto Z_v;
-    returns (m, b) when the off-identity coefficients are constant."""
-    vec = np.zeros(v, dtype=np.int64)
-    vec[list(idx)] = 1
-    acc = vec
-    for _ in range(n - 1):
-        full = np.convolve(acc, vec)
-        folded = np.zeros(v, dtype=np.int64)
-        np.add.at(folded, np.arange(full.size) % v, full)
-        acc = folded
-    off = acc[1:]
-    if off.size and int(off.min()) != int(off.max()):
-        return None
-    m = int(off[0]) if off.size else 0
-    return m, int(acc[0]) - m
-
-
-def _symmetric_candidates(v: int, k: int):
-    """Index tuples of the subsets of Z_v fixed by negation, of size k."""
-    half = list(range(1, (v + 1) // 2))
-    fixed = [0] + ([v // 2] if v % 2 == 0 else [])
-    for f in range(len(fixed) + 1):
-        rem = k - f
-        if rem < 0 or rem % 2:
-            continue
-        for fix in combinations(fixed, f):
-            for pairs in combinations(half, rem // 2):
-                yield tuple(sorted(fix + pairs + tuple(v - i for i in pairs)))
-
-
-def _exhaustive_monomial(v: int, k: int, n: int, bound: int,
-                         symmetric_only: bool) -> List[Tuple[Tuple[int, ...], int]]:
-    """Enumerate candidate sets of size k and keep those whose folded
-    convolution power is b plus a constant, |b| within the bound."""
-    if symmetric_only:
-        gen = _symmetric_candidates(v, k)
-    else:
-        if math.comb(v, k) > _PAS_ENUM_CAP:
-            raise SpecError(
-                f"exhaustive stage needs {math.comb(v, k)} subsets at v={v}, k={k}")
-        gen = combinations(range(v), k)
-    hits = []
-    for idx in gen:
-        prof = _monomial_profile(idx, v, n)
-        if prof is None:
-            continue
-        m, b = prof
-        if abs(b) <= bound:
-            hits.append((idx, b))
-    return hits
-
-
 def monomial_pas_search(v: Union[int, AbelianGroup], n: int,
                         bound: int) -> List[Tuple[FrozenSet[GroupElement], int]]:
     """Search Z_v for addition sets of x**n - b with 1 < |D| < v - 1 and
-    |b| <= bound; returns every verified hit.
+    |b| <= bound.
 
-    The difference-count, character-field and coset filters settle almost
-    every size exactly; sizes that survive are enumerated (symmetric sets
-    only when the identity coefficient forces D = -D) and confirmed by
-    exact convolution.  Over the whole domain (v <= 40, n <= 5) only
-    (v, k, n, b) = (40, 13, 4, 81) and (40, 27, 4, 81) survive the
-    filters, and their C(40, 13) subsets exceed the enumeration cap, so
-    a bound of 81 or more at v = 40, n = 4 raises SpecError.
+    The difference-count, character-field and coset filters rule out
+    every (v, k, n, b) case of the domain (v <= 40, n <= 5) but
+    (40, 13, 4, 81) and (40, 27, 4, 81), so the search returns [].  A
+    case they leave open raises SpecError instead of enumerating its
+    C(v, k) subsets: a bound of 81 or more at v = 40, n = 4 is refused.
     """
     if isinstance(v, AbelianGroup):
         if len(v.moduli) != 1:
@@ -434,41 +378,25 @@ def monomial_pas_search(v: Union[int, AbelianGroup], n: int,
         raise SpecError(f"degree must be between 1 and {_PAS_MAX_DEGREE}")
     if bound < 0:
         raise SpecError("bound must be non-negative")
-    group = make_group([v])
-    hits: List[Tuple[FrozenSet[GroupElement], int]] = []
     if n == 1:
         # x - b asks for D = b*e + m*G, so the indicator is constant off
         # the identity and |D| is one of 0, 1, v-1, v: the range is empty
-        return hits
+        return []
     for k in range(2, v - 1):
         if (k * (k - 1)) % (v - 1):
             continue
         t = k - k * (k - 1) // (v - 1)
-        survivors = []
         for b in _b_candidates(t, n, bound):
-            if (k ** n - b) % v:
-                continue
-            m = (k ** n - b) // v
-            if m < 0 or m + b < 0 or m + b > k ** (n - 1):
-                continue
-            if n == 2 and m + b > k:
-                continue
-            if _ma_coset_kill(v, t):
+            if (k ** n - b) % v or _ma_coset_kill(v, t):
                 continue
             branches = _character_value_branches(v, t, n, b)
-            if not branches:
+            if not branches or _rational_collapse_kill(v, k, branches):
                 continue
-            if _rational_collapse_kill(v, k, branches):
-                continue
-            survivors.append((b, m))
-        if not survivors:
-            continue
-        # restricting to symmetric sets is sound only when every surviving
-        # b pins the identity coefficient of the square at k
-        sym = n == 2 and all(m + b == k for b, m in survivors)
-        for idx, bb in _exhaustive_monomial(v, k, n, bound, sym):
-            hits.append((frozenset(group.from_index(i) for i in idx), bb))
-    return hits
+            raise SpecError(
+                f"monomial case (v, k, n, b) = ({v}, {k}, {n}, {b}) passes every filter;"
+                f" deciding it needs C({v}, {k}) = {math.comb(v, k)} subsets"
+            )
+    return []
 
 
 # ---------------------------------------------------------------------------

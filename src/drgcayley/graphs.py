@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .algebra import character_values
-from .cyclotomic import _INT64_SAFE, CyclotomicInteger, reduce_root_counts
+from .cyclotomic import CyclotomicInteger, exact_dtype, reduce_root_counts
 from .errors import InvariantViolation, NotConnectedError, PrecisionError, SpecError
 from .groups import (
     AbelianGroup,
@@ -430,9 +430,7 @@ def _eigensystem_invariants(group: AbelianGroup, degree: int, keys: np.ndarray, 
     # products by multiplicity, then fold the antidiagonals by skewing
     # row i i places right (rows of length 2phi+1 read back as 2phi)
     phi = keys.shape[1]
-    big = int(np.abs(keys).max(initial=0)) ** 2 * n * phi
-    if keys.dtype == object or big >= _INT64_SAFE:
-        keys = keys.astype(object)
+    keys = keys.astype(exact_dtype(int(np.abs(keys).max(initial=0)) ** 2 * n * phi, keys), copy=False)
     # not keys.T @ ...: numpy has no integer BLAS, and its int64 matmul
     # loop is about 7x slower than einsum's on long cycles (Z_2039)
     outer = np.einsum("ia,ib->ab", keys, keys * mults[:, None])

@@ -6,13 +6,18 @@ paths work with the integer index of an element in that enumeration.
 Quotients and subgroups-as-groups are realized through an exact integer
 Smith normal form; the projection / isomorphism maps are the contract,
 the moduli of the derived group are an implementation artifact.
+
+A group's derived tables (elements, index tables, subgroup lattice,
+automorphisms) are memoised per moduli: groups compare and hash by their
+moduli, so equal groups share one copy.  Shared arrays are returned
+read-only.
 """
 
 from __future__ import annotations
 
 import functools as ft
 import itertools as it
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, prod
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
@@ -25,6 +30,12 @@ MAX_AUT_ORDER = 200
 MAX_AUT_CANDIDATES = 1 << 20  # generator-image tuples automorphisms() may test
 AUT_CHUNK_ENTRIES = 1 << 16  # int32 entries per enumeration temporary
 MAX_SUBGROUPS = 50_000
+GROUP_CACHE_SIZE = 64  # groups whose tables stay memoised; the Z_1..Z_33 sweep touches 33
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _lcm(a: int, b: int) -> int:
@@ -54,7 +65,6 @@ class AbelianGroup:
             strides.append(acc)
             acc *= n
         self._strides = tuple(reversed(strides))
-        self._cache: Dict[str, object] = {}
 
     # -- value semantics ------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -81,12 +91,9 @@ class AbelianGroup:
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.rank)
 
+    @ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
     def elements(self) -> Tuple["GroupElement", ...]:
-        elems = self._cache.get("elements")
-        if elems is None:
-            elems = tuple(GroupElement(self, c) for c in it.product(*[range(n) for n in self.moduli]))
-            self._cache["elements"] = elems
-        return elems  # type: ignore[return-value]
+        return tuple(GroupElement(self, c) for c in it.product(*[range(n) for n in self.moduli]))
 
     def __iter__(self):
         return iter(self.elements())
@@ -143,47 +150,34 @@ class AbelianGroup:
         return (self.coords_matrix() @ weights) % m
 
     # -- index tables (hot-path plumbing) -----------------------------------
+    @ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
     def coords_matrix(self) -> np.ndarray:
-        mat = self._cache.get("coords_matrix")
-        if mat is None:
-            mat = np.array(
-                list(it.product(*[range(n) for n in self.moduli])), dtype=np.int64
-            ).reshape(self.order, self.rank)
-            self._cache["coords_matrix"] = mat
-        return mat  # type: ignore[return-value]
+        coords = np.array(list(it.product(*[range(n) for n in self.moduli])), dtype=np.int64)
+        return _frozen(coords.reshape(self.order, self.rank))
 
+    @ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
     def add_table(self) -> np.ndarray:
         """add_table[i, j] = index(element_i + element_j)."""
-        tab = self._cache.get("add_table")
-        if tab is None:
-            idx = np.arange(self.order)
-            acc = np.zeros((self.order, self.order), dtype=np.int64)
-            for n, s in zip(self.moduli, self._strides):
-                d = (idx // s) % n
-                acc += ((d[:, None] + d[None, :]) % n) * s
-            tab = acc.astype(np.int32)
-            self._cache["add_table"] = tab
-        return tab  # type: ignore[return-value]
+        idx = np.arange(self.order)
+        acc = np.zeros((self.order, self.order), dtype=np.int64)
+        for n, s in zip(self.moduli, self._strides):
+            d = (idx // s) % n
+            acc += ((d[:, None] + d[None, :]) % n) * s
+        return _frozen(acc.astype(np.int32))
 
+    @ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
     def neg_table(self) -> np.ndarray:
-        tab = self._cache.get("neg_table")
-        if tab is None:
-            idx = np.arange(self.order)
-            acc = np.zeros(self.order, dtype=np.int64)
-            for n, s in zip(self.moduli, self._strides):
-                d = (idx // s) % n
-                acc += ((-d) % n) * s
-            tab = acc.astype(np.int32)
-            self._cache["neg_table"] = tab
-        return tab  # type: ignore[return-value]
+        idx = np.arange(self.order)
+        acc = np.zeros(self.order, dtype=np.int64)
+        for n, s in zip(self.moduli, self._strides):
+            d = (idx // s) % n
+            acc += ((-d) % n) * s
+        return _frozen(acc.astype(np.int32))
 
+    @ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
     def sub_table(self) -> np.ndarray:
         """sub_table[t, g] = index(element_t - element_g)."""
-        tab = self._cache.get("sub_table")
-        if tab is None:
-            tab = self.add_table()[:, self.neg_table()]
-            self._cache["sub_table"] = tab
-        return tab  # type: ignore[return-value]
+        return _frozen(self.add_table()[:, self.neg_table()])
 
 
 @dataclass(frozen=True)
@@ -289,17 +283,20 @@ class Subgroup:
     group: AbelianGroup
     elements: Tuple[GroupElement, ...]
     generators: Tuple[GroupElement, ...]
+    _members: FrozenSet[GroupElement] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_members", frozenset(self.elements))
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g in self.element_set()
+        return g in self._members
 
-    @ft.lru_cache(maxsize=None)
     def element_set(self) -> FrozenSet[GroupElement]:
-        return frozenset(self.elements)
+        return self._members
 
     def indices(self) -> Tuple[int, ...]:
         return tuple(self.group.index(g) for g in self.elements)
@@ -360,6 +357,7 @@ def _small_generating_set(group: AbelianGroup, elements: Sequence[GroupElement])
     return tuple(gens)
 
 
+@ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def all_subgroups(group: AbelianGroup) -> Tuple[Subgroup, ...]:
     """Every subgroup, by closing the set of cyclic subgroups under join.
 
@@ -367,9 +365,6 @@ def all_subgroups(group: AbelianGroup) -> Tuple[Subgroup, ...]:
     sums, so each join is one gather of the addition table; the lattice
     is closed over frozensets of element indices.
     """
-    cached = group._cache.get("all_subgroups")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
     add = group.add_table()
     # cyclic subgroups keyed by their first generator in element order
     coords = group.coords_matrix()
@@ -397,12 +392,10 @@ def all_subgroups(group: AbelianGroup) -> Tuple[Subgroup, ...]:
                         raise SpecError("subgroup lattice too large to enumerate")
         frontier = new_frontier
     els = group.elements()
-    result = tuple(
+    return tuple(
         Subgroup(group, tuple(els[i] for i in members), tuple(els[i] for i in gens))
         for _, members, gens in sorted((len(h), sorted(h), gens or (0,)) for h, gens in known.items())
     )
-    group._cache["all_subgroups"] = result
-    return result
 
 
 def subgroups_of_order(group: AbelianGroup, k: int) -> Tuple[Subgroup, ...]:
@@ -669,6 +662,7 @@ def aut_candidate_count(group: AbelianGroup) -> int:
     return prod(gcd(ni, nj) for ni in group.moduli for nj in group.moduli)
 
 
+@ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def automorphisms(group: AbelianGroup) -> np.ndarray:
     """All automorphisms as a read-only (|Aut|, n) int32 array; row a maps
     element index i to a[i].  Rows are in lexicographic order.
@@ -679,9 +673,6 @@ def automorphisms(group: AbelianGroup) -> np.ndarray:
     trivial.  Refused (SpecError) when |G| > MAX_AUT_ORDER or when more
     than MAX_AUT_CANDIDATES tuples would be walked.
     """
-    cached = group._cache.get("automorphisms")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
     if group.order > MAX_AUT_ORDER:
         raise SpecError(f"automorphism enumeration limited to order {MAX_AUT_ORDER}")
     total = aut_candidate_count(group)
@@ -709,12 +700,10 @@ def automorphisms(group: AbelianGroup) -> np.ndarray:
         # a homomorphism of a finite group is a bijection iff only 0 maps to 0
         kept.append(acc[:, (acc[1:] != 0).all(axis=0)].T)
     perms = np.concatenate(kept)
-    perms = perms[np.lexsort(perms.T[::-1])]
-    perms.flags.writeable = False
-    group._cache["automorphisms"] = perms
-    return perms
+    return _frozen(perms[np.lexsort(perms.T[::-1])])
 
 
+@ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _lex_keys(group: AbelianGroup) -> np.ndarray:
     """(n, |Aut|) table for n <= 64: entry [i, a] is the bit n-1-a[i].
 
@@ -723,14 +712,10 @@ def _lex_keys(group: AbelianGroup) -> np.ndarray:
     bitwise OR, and the larger word is the lexicographically smaller set.
     The words take 32 bits when n <= 32.
     """
-    keys = group._cache.get("aut_lex_keys")
-    if keys is None:
-        n = group.order
-        dtype = np.uint32 if n <= 32 else np.uint64
-        bits = dtype(1) << np.arange(n - 1, -1, -1, dtype=dtype)
-        keys = np.ascontiguousarray(bits[automorphisms(group)].T)
-        group._cache["aut_lex_keys"] = keys
-    return keys  # type: ignore[return-value]
+    n = group.order
+    dtype = np.uint32 if n <= 32 else np.uint64
+    bits = dtype(1) << np.arange(n - 1, -1, -1, dtype=dtype)
+    return _frozen(np.ascontiguousarray(bits[automorphisms(group)].T))
 
 
 def _image_keys(group: AbelianGroup, indices: Iterable[int]) -> np.ndarray:

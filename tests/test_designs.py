@@ -15,11 +15,9 @@ from drgcayley.designs import (
     PASCheck,
     RDSCheck,
     _character_value_branches,
-    _exhaustive_monomial,
     _power_identity_residuals,
     _sqrt_in_cyclotomic,
     _squarefree_part,
-    _symmetric_candidates,
     direction_bound_check,
     directions,
     is_polynomial_addition_set,
@@ -235,21 +233,6 @@ def _brute_monomial(v, n, bound):
 def test_search_matches_bruteforce(v, n):
     assert _brute_monomial(v, n, 30) == []
     assert monomial_pas_search(v, n, 30) == []
-
-
-def test_enumeration_stage_finds_known_set():
-    # the punctured group is an addition set of x^2 - 1
-    hits = _exhaustive_monomial(7, 6, 2, 50, symmetric_only=False)
-    assert hits == [(tuple(range(1, 7)), 1)]
-    assert _exhaustive_monomial(7, 6, 2, 50, symmetric_only=True) == hits
-    assert _exhaustive_monomial(7, 3, 2, 50, symmetric_only=True) == []
-
-
-def test_symmetric_candidates_are_negation_closed():
-    cands = list(_symmetric_candidates(8, 4))
-    for idx in cands:
-        assert sorted((8 - i) % 8 for i in idx) == list(idx)
-    assert len(set(cands)) == len(cands)
 
 
 def test_search_refuses_the_one_size_its_filters_pass():

@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drgcayley import groups
+from drgcayley.algebra import character_table
+from drgcayley.classify import SearchSpec, classify_group
 from drgcayley.errors import SpecError
 from drgcayley.groups import (
     AbelianGroup,
+    Subgroup,
     all_subgroups,
     atoms,
     automorphisms,
@@ -279,6 +283,53 @@ def test_canonicalize_connection_set_invariance():
     canon = canonicalize_connection_set(g, s)
     for p in automorphisms(g)[:10]:
         assert canonicalize_connection_set(g, [int(p[i]) for i in s]) == canon
+
+
+# -- memoised tables ------------------------------------------------------------
+
+
+def test_equal_groups_share_one_copy_of_each_table():
+    a, b = make_group([3, 3, 3]), make_group([3, 3, 3])
+    assert a is not b
+    assert automorphisms(a) is automorphisms(b)
+    assert a.sub_table() is b.sub_table()
+    assert character_table(a) is character_table(b)
+    assert all_subgroups(a) is all_subgroups(b)
+
+
+def test_one_classification_builds_the_automorphism_table_once():
+    automorphisms.cache_clear()
+    groups._lex_keys.cache_clear()
+    classify_group(SearchSpec(make_group([3, 3, 3])))
+    assert automorphisms.cache_info().misses == 1
+
+
+def test_shared_tables_are_read_only():
+    g = make_group([4, 2])
+    tables = [
+        g.coords_matrix(),
+        g.add_table(),
+        g.neg_table(),
+        g.sub_table(),
+        automorphisms(g),
+        groups._lex_keys(g),
+        character_table(g),
+    ]
+    for tab in tables:
+        with pytest.raises(ValueError):
+            tab.flat[0] = tab.flat[0]
+
+
+def test_subgroup_value_semantics():
+    g = make_group([6, 3])
+    x, y = g.element([2, 0]), g.element([0, 1])
+    h = generated_subgroup(g, [x, y])
+    twin = Subgroup(g, h.elements, h.generators)
+    assert twin == h and hash(twin) == hash(h)
+    assert Subgroup(g, h.elements, (y, x)) != h
+    assert h.element_set() == frozenset(h.elements) == twin.element_set()
+    assert y in h and g.element([1, 0]) not in h
+    assert repr(h) == f"Subgroup(order=9, gens={[x, y]})"
 
 
 # -- property-based checks -------------------------------------------------------

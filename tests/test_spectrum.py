@@ -115,8 +115,7 @@ def test_spectrum_matches_reference_on_the_circulant_sweep():
 @pytest.mark.parametrize("graph", [cycle_graph(7), srg942(), hypercube4(), cycle_graph(211)], ids=repr)
 def test_spectrum_through_the_object_dtype_fallback(monkeypatch, graph):
     want = reference_spectrum(graph)
-    monkeypatch.setattr(cyclotomic, "_INT64_SAFE", 1)  # character values in Python integers
-    monkeypatch.setattr(graphs, "_INT64_SAFE", 1)
+    monkeypatch.setattr(cyclotomic, "_INT64_SAFE", 1)  # every exact product in Python integers
     assert character_values(graph.group, [graph.connection_indices()]).dtype == object
     got = spectrum(graph)
     assert got.values == want.values
