@@ -1,9 +1,10 @@
-"""Integer group-algebra elements and the exact Fourier transform.
+"""Integer group-algebra elements and the group's character table.
 
 An algebra element is an integer coefficient vector indexed by group
 elements in index order; multiplication is convolution over the group.
-Fourier coefficients are cyclotomic integers at the group exponent,
-one per character chi_g(x) = zeta_m^{e(g,x)}.
+The character chi_g(x) = zeta_m^{e(g,x)}, m the group exponent, is held
+as its exponent table e, and character sums over sets come back as
+exact cyclotomic coordinates.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInteger, _power_table, euler_phi, reduce_root_counts
-from .errors import InvariantViolation, SpecError
+from .cyclotomic import reduce_root_counts
+from .errors import SpecError
 from .groups import GROUP_CACHE_SIZE, AbelianGroup, GroupElement
 
-MAX_FOURIER_ORDER = 512
 CHARACTER_CHUNK_ENTRIES = 1 << 18  # int64 entries per character_values temporary
 
 
@@ -106,7 +106,7 @@ class AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# Fourier analysis
+# characters
 
 
 @ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -149,99 +149,3 @@ def character_values(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> n
         vals = reduce_root_counts(counts, m)
         blocks.append(vals.reshape(k, r, -1))
     return np.concatenate(blocks)
-
-
-def character_value(group: AbelianGroup, g: GroupElement, x: GroupElement) -> CyclotomicInteger:
-    """chi_g(x) as an exact root of unity at the group exponent."""
-    return CyclotomicInteger.from_root_power(group.exponent, group.pairing_exponent(g, x))
-
-
-def fourier_coefficient(group: AbelianGroup, vec: Sequence[int], g: GroupElement) -> CyclotomicInteger:
-    """hat(a)(chi_g) = sum_x a[x] chi_g(x), exact."""
-    arr = np.asarray(vec, dtype=np.int64)
-    if arr.shape != (group.order,):
-        raise SpecError("coefficient vector has wrong length")
-    m = group.exponent
-    counts = np.zeros(m, dtype=np.int64)
-    np.add.at(counts, character_table(group)[group.index(g)], arr)
-    return CyclotomicInteger.from_root_counts(m, counts)
-
-
-def fourier_transform(group: AbelianGroup, vec: Sequence[int]) -> Tuple[CyclotomicInteger, ...]:
-    """All Fourier coefficients in character index order."""
-    if group.order > MAX_FOURIER_ORDER:
-        raise SpecError(f"full Fourier transform limited to order {MAX_FOURIER_ORDER}")
-    return tuple(fourier_coefficient(group, vec, g) for g in group.elements())
-
-
-def fourier_inverse(group: AbelianGroup, values: Sequence[CyclotomicInteger]) -> np.ndarray:
-    """Recover the integer coefficient vector from one value per character.
-
-    a[x] = (1/|G|) sum_g values[g] * chi_g(-x); raises if the result is
-    not an integer vector (i.e. the values are not a valid transform).
-    """
-    n = group.order
-    if len(values) != n:
-        raise SpecError(f"expected {n} character values")
-    if n > MAX_FOURIER_ORDER:
-        raise SpecError(f"Fourier inversion limited to order {MAX_FOURIER_ORDER}")
-    m = group.exponent
-    phi = euler_phi(m)
-    coeff_rows = np.zeros((n, phi), dtype=object)
-    for gi, v in enumerate(values):
-        cv = v if isinstance(v, CyclotomicInteger) else CyclotomicInteger.from_int(int(v))
-        if m % cv.conductor != 0:
-            raise SpecError("character value conductor does not divide the group exponent")
-        coeff_rows[gi] = np.array(cv.lift(m).coeffs, dtype=object)
-    table = character_table(group)
-    out = np.zeros(n, dtype=np.int64)
-    for xi in range(n):
-        tvec = (-table[xi]) % m  # exponent of chi_g(-x) per g
-        counts = np.zeros(m, dtype=object)
-        for i in range(phi):
-            col = coeff_rows[:, i]
-            np.add.at(counts, (tvec + i) % m, col)
-        total = CyclotomicInteger.from_root_counts(m, counts)
-        if not total.is_rational_integer or total.as_int() % n != 0:
-            raise SpecError("values are not the Fourier transform of an integer vector")
-        out[xi] = total.as_int() // n
-    return out
-
-
-def fourier_roundtrip_batch(group: AbelianGroup, vectors: Sequence[Sequence[int]]) -> np.ndarray:
-    """Apply every character to each row and invert the results, exactly.
-
-    Row-for-row equivalent to fourier_inverse(fourier_transform(row)),
-    but batched: character values stay as root-of-unity count vectors and
-    the inversion reduces through the same power-basis table the scalar
-    path uses, so the arithmetic is integer throughout.  Returns the
-    recovered batch and raises SpecError when a recovered entry fails to
-    be an integer, which cannot happen for genuine transforms.
-    """
-    arr = np.asarray(vectors, dtype=np.int64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    n = group.order
-    if arr.ndim != 2 or arr.shape[1] != n:
-        raise SpecError(f"expected rows of length {n}")
-    if n > MAX_FOURIER_ORDER:
-        raise SpecError(f"batched roundtrip limited to order {MAX_FOURIER_ORDER}")
-    m = group.exponent
-    batch = arr.shape[0]
-    pairing = character_table(group)
-    eye = np.eye(m, dtype=np.int64)
-    counts = np.empty((batch, n, m), dtype=np.int64)
-    for gi in range(n):
-        counts[:, gi, :] = arr @ eye[pairing[gi]]
-    # n * a[x] = sum_f zeta^f * D[x, f] with
-    # D[x, f] = sum_g counts[g, (f + e(g, x)) % m]
-    folded = np.empty((batch, n, m), dtype=np.int64)
-    gsel = np.arange(n)[:, None]
-    for f in range(m):
-        slot = (pairing + f) % m
-        folded[:, :, f] = counts[:, gsel, slot].sum(axis=1)
-    reduction = np.asarray(_power_table(m)[:m], dtype=np.int64)
-    coords = folded @ reduction
-    if np.any(coords[:, :, 1:]) or np.any(coords[:, :, 0] % n):
-        raise SpecError("values are not the Fourier transform of an integer vector")
-    return coords[:, :, 0] // n

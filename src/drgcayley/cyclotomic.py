@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools as ft
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -377,9 +377,3 @@ def _express_in_subfield(value: CyclotomicInteger, d: int) -> Optional[Tuple[int
     if any(b.denominator != 1 for b in sol):
         raise InvariantViolation("algebraic integer has non-integral subfield coordinates")
     return tuple(int(b) for b in sol)
-
-
-def character_sum(m: int, exponents: Sequence[int]) -> CyclotomicInteger:
-    """sum over the list of exponents e of zeta_m^e (multiset sum)."""
-    counts = np.bincount(np.asarray(exponents, dtype=np.int64) % m, minlength=m)
-    return CyclotomicInteger.from_root_counts(m, counts)

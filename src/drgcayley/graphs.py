@@ -1,5 +1,6 @@
 """Cayley graphs over finite abelian groups: distance partitions, the
-exact distance-regularity test, spectra, imprimitivity and reductions.
+exact distance-regularity test, spectra, imprimitivity, family labels
+and graph6 export.
 
 Everything arithmetic is exact: convolutions are integer vectors,
 eigenvalues are cyclotomic integers, and numerics are used only to fix
@@ -11,8 +12,7 @@ from __future__ import annotations
 import contextlib
 import functools as ft
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,16 +24,12 @@ from .groups import (
     GroupElement,
     Subgroup,
     all_subgroups,
-    atoms,
     format_element,
     generated_subgroup,
     is_prime,
-    quotient_group,
-    subgroup_as_group,
     subgroup_from_elements,
 )
 
-MAX_CLIQUE_ORDER = 200
 EIGENVALUE_GATE = 1e-9
 MIN_DPS = 20  # at 18 digits some renderings of 2cos(2 pi a/m) differ from dps 40 (README)
 MAX_DPS = 500  # the slowest accepted precision stays within seconds (README)
@@ -46,7 +42,7 @@ class CayleyGraph:
     def __init__(self, group: AbelianGroup, connection: Iterable[GroupElement]):
         conn = frozenset(connection)
         for s in conn:
-            group._check_member(s)
+            group.index(s)  # raises SpecError for an element of another group
         if any(s.is_zero for s in conn):
             raise SpecError("connection set contains the identity")
         if any(-s not in conn for s in conn):
@@ -99,10 +95,6 @@ class CayleyGraph:
 
     def __repr__(self) -> str:
         return f"Cay({self.group}, {{{';'.join(format_element(s) for s in sorted(self.connection))}}})"
-
-
-def build(group: AbelianGroup, connection: Iterable[GroupElement]) -> CayleyGraph:
-    return CayleyGraph(group, connection)
 
 
 # ---------------------------------------------------------------------------
@@ -444,30 +436,8 @@ def _eigensystem_invariants(group: AbelianGroup, degree: int, keys: np.ndarray, 
         raise InvariantViolation("sum of squared eigenvalues must equal k|G|")
 
 
-def is_integral(graph: CayleyGraph, dps: int = 40) -> bool:
-    return all(v.is_rational_integer for v in spectrum(graph, dps).values)
-
-
-def boolean_algebra_membership(group: AbelianGroup, connection: FrozenSet[GroupElement]) -> bool:
-    """True iff S is an exact union of atoms [g] = {x : <x> = <g>}."""
-    for part in atoms(group):
-        inter = sum(1 for e in part if e in connection)
-        if inter not in (0, len(part)):
-            return False
-    return True
-
-
-def integrality_agreement(graph: CayleyGraph, dps: int = 40) -> bool:
-    """Spectrum integrality must coincide with atom-union membership."""
-    spec_side = is_integral(graph, dps)
-    atom_side = boolean_algebra_membership(graph.group, graph.connection)
-    if spec_side != atom_side:
-        raise InvariantViolation("integral spectrum and atom-union membership disagree")
-    return spec_side
-
-
 # ---------------------------------------------------------------------------
-# imprimitivity and reductions
+# imprimitivity
 
 
 @dataclass(frozen=True)
@@ -494,177 +464,6 @@ def imprimitivity(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Impri
         except SpecError as exc:
             raise InvariantViolation("antipodal class S_0 u S_d is not a subgroup") from exc
     return Imprimitivity(bip, anti, h_sub)
-
-
-def antipodal_quotient(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> CayleyGraph:
-    """Folded graph Cay(G/H, S/H) for antipodal Gamma; re-verified DRG."""
-    if check is None:
-        check = check_distance_regular(graph)
-    info = imprimitivity(graph, check)
-    if not info.antipodal or info.antipodal_class is None:
-        raise SpecError("graph is not antipodal")
-    if check.partition.diameter < 2:
-        raise SpecError("antipodal quotient needs diameter at least 2")
-    q, proj = quotient_group(graph.group, info.antipodal_class)
-    conn = {proj(s) for s in graph.connection}
-    if any(x.is_zero for x in conn):
-        raise InvariantViolation("connection set meets the antipodal class")
-    folded = CayleyGraph(q, conn)
-    if not check_distance_regular(folded).ok:
-        raise InvariantViolation("antipodal quotient failed the distance-regularity recheck")
-    return folded
-
-
-def bipartition_subgroup(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Subgroup:
-    if check is None:
-        check = check_distance_regular(graph)
-    info = imprimitivity(graph, check)
-    if not info.bipartite:
-        raise SpecError("graph is not bipartite")
-    els = graph.group.elements()
-    evens = [els[i] for cls in check.partition.classes[::2] for i in cls]
-    try:
-        h = subgroup_from_elements(graph.group, evens)
-    except SpecError as exc:
-        raise InvariantViolation("even-distance classes do not form a subgroup") from exc
-    if h.order * 2 != graph.order:
-        raise InvariantViolation("bipartition subgroup must have index 2")
-    return h
-
-
-def halved_graph(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> CayleyGraph:
-    """Cay(H, S_2) on the bipartition subgroup, re-verified DRG."""
-    if check is None:
-        check = check_distance_regular(graph)
-    h = bipartition_subgroup(graph, check)
-    k_group, iso = subgroup_as_group(h)
-    els = graph.group.elements()
-    s2 = [els[i] for i in check.partition.classes[2]] if check.partition.diameter >= 2 else []
-    if not s2:
-        raise SpecError("graph has no distance-2 class to halve")
-    conn = {iso[x] for x in s2}
-    halved = CayleyGraph(k_group, conn)
-    res = check_distance_regular(halved)
-    if not res.ok:
-        raise InvariantViolation("halved graph failed the distance-regularity recheck")
-    if res.array.is_bipartite and halved.degree > 0 and halved.order > 2:
-        raise InvariantViolation("halved graph of a bipartite graph must be non-bipartite")
-    return halved
-
-
-def quotient_by_subgroup(
-    graph: CayleyGraph, sub: Subgroup, check: Optional[DRGCheck] = None
-) -> Tuple[CayleyGraph, IntersectionArray]:
-    """Quotient of an antipodal non-bipartite diameter-3 graph by a
-    subgroup of its antipodal class, with the predicted array
-    {k, mu|K|(r/|K| - 1), 1; 1, mu|K|, k} (complete when K = H)."""
-    if check is None:
-        check = check_distance_regular(graph)
-    if not check.ok or check.partition.diameter != 3:
-        raise SpecError("quotient-by-subgroup requires a distance-regular graph of diameter 3")
-    info = imprimitivity(graph, check)
-    if not info.antipodal or info.bipartite:
-        raise SpecError("quotient-by-subgroup requires an antipodal non-bipartite graph")
-    H = info.antipodal_class
-    if not set(sub.elements) <= set(H.elements):
-        raise SpecError("subgroup is not contained in the antipodal class")
-    arr = check.array
-    k = arr.k
-    mu = arr.c_at(2)
-    r = H.order
-    kk = sub.order
-    if kk == r:
-        predicted = IntersectionArray((k,), (1,))
-    else:
-        rr = r // kk
-        predicted = IntersectionArray((k, mu * kk * (rr - 1), 1), (1, mu * kk, k))
-    q, proj = quotient_group(graph.group, sub)
-    conn = {proj(s) for s in graph.connection}
-    if any(x.is_zero for x in conn):
-        raise InvariantViolation("connection set meets the collapsing subgroup")
-    quotient = CayleyGraph(q, conn)
-    res = check_distance_regular(quotient)
-    if not res.ok or res.array != predicted:
-        raise InvariantViolation(
-            f"quotient array {res.array if res.ok else 'none'} differs from predicted {predicted}"
-        )
-    return quotient, predicted
-
-
-# ---------------------------------------------------------------------------
-# cliques and bounds
-
-
-def clique_number(graph: CayleyGraph) -> int:
-    """Exact maximum clique via branch and bound with greedy coloring."""
-    n = graph.order
-    if n > MAX_CLIQUE_ORDER:
-        raise SpecError(f"exact clique search limited to order {MAX_CLIQUE_ORDER}")
-    A = graph.adjacency()
-    adj = [0] * n
-    for u in range(n):
-        mask = 0
-        for v in np.flatnonzero(A[u]):
-            mask |= 1 << int(v)
-        adj[u] = mask
-    best = 0
-
-    def color_bound(cand: int) -> List[Tuple[int, int]]:
-        # greedy coloring, returns (vertex, color-count-so-far) in order
-        order = []
-        color_masks: List[int] = []
-        rest = cand
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            for ci, cm in enumerate(color_masks):
-                if not (cm & adj[v]):
-                    color_masks[ci] |= 1 << v
-                    order.append((v, ci + 1))
-                    break
-            else:
-                color_masks.append(1 << v)
-                order.append((v, len(color_masks)))
-        return order
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        order = color_bound(cand)
-        for v, colors in reversed(order):
-            if size + colors <= best:
-                return
-            nxt = cand & adj[v]
-            if size + 1 > best:
-                best = size + 1
-            if nxt:
-                expand(size + 1, nxt)
-            cand &= ~(1 << v)
-
-    expand(0, (1 << n) - 1)
-    return best
-
-
-def delsarte_bound(graph: CayleyGraph, dps: int = 40) -> int:
-    """floor(1 - k/theta_min); exact when the least eigenvalue is integral."""
-    import mpmath
-
-    eig = spectrum(graph, dps)
-    theta_min = eig.values[-1]
-    if eig.count == 1:
-        raise SpecError("Delsarte bound needs a negative eigenvalue")
-    if theta_min.is_rational_integer:
-        t = theta_min.as_int()
-        if t >= 0:
-            raise SpecError("least eigenvalue must be negative")
-        return int(Fraction(1) - Fraction(graph.degree, t))
-    with mpmath.workdps(dps):
-        t = theta_min.numeric(dps).real
-        if t >= 0:
-            raise SpecError("least eigenvalue must be negative")
-        val = 1 - mpmath.mpf(graph.degree) / t
-        if abs(val - mpmath.nint(val)) < mpmath.mpf(10) ** (-dps // 2):
-            raise PrecisionError("Delsarte bound too close to an integer to floor safely")
-        return int(mpmath.floor(val))
 
 
 # ---------------------------------------------------------------------------
@@ -782,33 +581,3 @@ def decode_graph6(text: str) -> np.ndarray:
             A[i, j] = A[j, i] = bits[pos]
             pos += 1
     return A
-
-
-def graph_report(graph: CayleyGraph, dps: int = 40) -> dict:
-    """The JSON-ready report: array, spectrum, flags, family."""
-    check = check_distance_regular(graph)
-    rep: dict = {
-        "group": str(graph.group),
-        "connection": [format_element(s) for s in sorted(graph.connection)],
-        "distance_regular": check.ok,
-    }
-    if not check.ok:
-        rep["witness"] = check.witness
-        return rep
-    info = imprimitivity(graph, check)
-    eig = spectrum(graph, dps)
-    rep.update(
-        {
-            "intersection_array": check.array.to_dict(),
-            "array": str(check.array),
-            "diameter": check.partition.diameter,
-            "spectrum": eig.to_dict()["eigenvalues"],
-            "flags": {
-                "bipartite": info.bipartite,
-                "antipodal": info.antipodal,
-                "integral": all(v.is_rational_integer for v in eig.values),
-            },
-        }
-    )
-    rep.update(detect_family(graph, check).to_dict())
-    return rep

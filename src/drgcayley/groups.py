@@ -3,9 +3,6 @@
 A group is a list of moduli [n_1, ..., n_r]; elements are coordinate
 tuples of residues.  Elements are enumerated lexicographically and hot
 paths work with the integer index of an element in that enumeration.
-Quotients and subgroups-as-groups are realized through an exact integer
-Smith normal form; the projection / isomorphism maps are the contract,
-the moduli of the derived group are an implementation artifact.
 
 A group's derived tables (elements, index tables, subgroup lattice,
 automorphisms) are memoised per moduli: groups compare and hash by their
@@ -19,11 +16,11 @@ import functools as ft
 import itertools as it
 from dataclasses import dataclass, field
 from math import gcd, prod
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvariantViolation, SpecError
+from .errors import SpecError
 
 MAX_ORDER = 2048
 MAX_AUT_ORDER = 200
@@ -268,10 +265,6 @@ def format_element(g: GroupElement) -> str:
     return ",".join(str(c) for c in g.coords)
 
 
-def format_element_set(s: Iterable[GroupElement]) -> str:
-    return ";".join(format_element(g) for g in sorted(s, key=lambda g: g.coords))
-
-
 # ---------------------------------------------------------------------------
 # subgroups
 
@@ -438,215 +431,6 @@ def atoms(group: AbelianGroup) -> Tuple[Tuple[GroupElement, ...], ...]:
     parts = [tuple(sorted(v, key=lambda e: e.coords)) for v in bucket.values()]
     parts.sort(key=lambda part: part[0].coords)
     return tuple(parts)
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form and derived groups
-
-
-def smith_normal_form(mat: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
-    """Exact SNF over the integers: returns (S, U, V) with S = U @ A @ V,
-    U and V unimodular, S diagonal with d_1 | d_2 | ...  Small dense inputs
-    only; everything in Python ints."""
-    A = [list(map(int, row)) for row in mat]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, f):
-        # row_dst += f * row_src
-        A[dst] = [a + f * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + f * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, f):
-        for r in A:
-            r[dst] += f * r[src]
-        for r in V:
-            r[dst] += f * r[src]
-
-    t = 0
-    while t < min(rows, cols):
-        # smallest-|value| nonzero pivot in the trailing block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if A[i][j] != 0 and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot != (t, t):
-            if pivot[0] != t:
-                swap_rows(t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
-        p = A[t][t]
-        # reduce column and row t; any nonzero remainder is smaller than |p|,
-        # so looping back to pivot selection terminates
-        dirty = False
-        for i in range(t + 1, rows):
-            q = A[i][t] // p
-            if q:
-                add_row(t, i, -q)
-            if A[i][t] != 0:
-                dirty = True
-        for j in range(t + 1, cols):
-            q = A[t][j] // p
-            if q:
-                add_col(t, j, -q)
-            if A[t][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-        # divisibility: fold any non-multiple row into row t and retry
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if A[i][j] % p != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(bad, t, 1)
-            continue
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return A, U, V
-
-
-def _snf_check(A, S, U, V) -> None:
-    # S == U A V, exact
-    rows, cols = len(A), len(A[0]) if A else 0
-    UA = [[sum(U[i][k] * A[k][j] for k in range(rows)) for j in range(cols)] for i in range(rows)]
-    UAV = [[sum(UA[i][k] * V[k][j] for k in range(cols)) for j in range(cols)] for i in range(rows)]
-    if UAV != S:
-        raise InvariantViolation("Smith normal form bookkeeping failed")
-    for i in range(rows):
-        for j in range(cols):
-            if i != j and S[i][j] != 0:
-                raise InvariantViolation("Smith normal form is not diagonal")
-
-
-def quotient_group(group: AbelianGroup, sub: Subgroup) -> Tuple[AbelianGroup, Callable[[GroupElement], GroupElement]]:
-    """Quotient G/H as an explicit product of cyclic groups plus the
-    projection map.  Moduli come from the SNF of the relation lattice."""
-    if sub.group != group:
-        raise SpecError("subgroup does not belong to the given group")
-    r = group.rank
-    rel_cols: List[List[int]] = []
-    for i, n in enumerate(group.moduli):
-        col = [0] * r
-        col[i] = n
-        rel_cols.append(col)
-    for g in sub.generators:
-        rel_cols.append(list(g.coords))
-    if r == 0:
-        q = AbelianGroup([])
-        return q, lambda g: q.zero
-    A = [[rel_cols[j][i] for j in range(len(rel_cols))] for i in range(r)]
-    S, U, V = smith_normal_form(A)
-    _snf_check(A, S, U, V)
-    diag = [S[i][i] for i in range(min(len(S), len(S[0])))]
-    kept = [(i, d) for i, d in enumerate(diag) if d != 1]
-    if any(d == 0 for _, d in kept):
-        raise InvariantViolation("quotient relation lattice is not full rank")
-    qmods = [d for _, d in kept]
-    quotient = AbelianGroup(qmods)
-
-    def project(g: GroupElement, _U=U, _kept=kept, _q=quotient, _g=group) -> GroupElement:
-        _g._check_member(g)
-        return _q.element([sum(_U[i][k] * g.coords[k] for k in range(_g.rank)) % d for i, d in _kept])
-
-    if quotient.order * sub.order != group.order:
-        raise InvariantViolation(
-            f"quotient order {quotient.order} * subgroup order {sub.order} != {group.order}"
-        )
-    # projection must be a homomorphism with kernel exactly H
-    kernel = [g for g in group.elements() if project(g).is_zero]
-    if set(kernel) != sub.element_set():
-        raise InvariantViolation("projection kernel differs from the subgroup")
-    return quotient, project
-
-
-def subgroup_as_group(sub: Subgroup) -> Tuple[AbelianGroup, Dict[GroupElement, GroupElement]]:
-    """Realize a subgroup as a standalone product of cyclic groups.
-
-    Returns (K, iso) with iso a bijection from subgroup elements onto K.
-    """
-    group = sub.group
-    gens = [g for g in sub.generators if not g.is_zero]
-    if not gens:
-        triv = AbelianGroup([])
-        return triv, {group.zero: triv.zero}
-    s = len(gens)
-    # coefficient words: element -> a in Z^s with sum a_j gens_j = element
-    words: Dict[GroupElement, Tuple[int, ...]] = {group.zero: (0,) * s}
-    frontier = [group.zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            w = words[x]
-            for j, g in enumerate(gens):
-                y = x + g
-                if y not in words:
-                    words[y] = tuple(c + (1 if k == j else 0) for k, c in enumerate(w))
-                    nxt.append(y)
-        frontier = nxt
-    if set(words) != sub.element_set():
-        raise InvariantViolation("generator closure does not match subgroup elements")
-    # kernel of Z^s -> G: columns of V past the rank of [M | diag(n)]
-    r = group.rank
-    B = [[0] * (s + r) for _ in range(r)]
-    for j, g in enumerate(gens):
-        for i in range(r):
-            B[i][j] = g.coords[i]
-    for i, n in enumerate(group.moduli):
-        B[i][s + i] = n
-    S, U, V = smith_normal_form(B)
-    _snf_check(B, S, U, V)
-    rank = sum(1 for i in range(min(r, s + r)) if S[i][i] != 0)
-    kernel_basis = []  # columns of V with index >= rank, first s coordinates
-    for j in range(rank, s + r):
-        kernel_basis.append([V[i][j] for i in range(s)])
-    if not kernel_basis:
-        raise InvariantViolation("finite subgroup must have a full-rank relation lattice")
-    K = [[kernel_basis[j][i] for j in range(len(kernel_basis))] for i in range(s)]
-    S2, U2, V2 = smith_normal_form(K)
-    _snf_check(K, S2, U2, V2)
-    diag = [S2[i][i] if i < len(S2[0]) else 0 for i in range(s)]
-    if any(d == 0 for d in diag):
-        raise InvariantViolation("subgroup relation lattice is not full rank")
-    kept = [(i, d) for i, d in enumerate(diag) if d != 1]
-    target = AbelianGroup([d for _, d in kept])
-    iso: Dict[GroupElement, GroupElement] = {}
-    for elem, w in words.items():
-        coords = [sum(U2[i][k] * w[k] for k in range(s)) % d for i, d in kept]
-        iso[elem] = target.element(coords)
-    if len(set(iso.values())) != sub.order or target.order != sub.order:
-        raise InvariantViolation("subgroup decomposition is not a bijection")
-    # homomorphism spot-check on all pairs at desk scale
-    elems = sub.elements
-    if len(elems) <= 64:
-        pairs = [(a, b) for a in elems for b in elems]
-    else:
-        pairs = [(a, b) for a in elems[:12] for b in elems[:12]]
-    for a, b in pairs:
-        if iso[a + b] != iso[a] + iso[b]:
-            raise InvariantViolation("subgroup decomposition is not a homomorphism")
-    return target, iso
 
 
 # ---------------------------------------------------------------------------

@@ -325,13 +325,6 @@ def _q_orderings(group: AbelianGroup, classes: Tuple[Tuple[int, ...], ...]) -> T
     return tuple(_polynomial_orderings(dual.array))
 
 
-def p_polynomial_orderings(ring: SchurRing) -> List[Tuple[int, ...]]:
-    """Orderings making the primal ring P-polynomial (distance-regular)."""
-    if not ring.is_symmetric:
-        raise SpecError("P-polynomial analysis requires a symmetric Schur ring")
-    return _polynomial_orderings(ring.array)
-
-
 def dual_graph(graph: CayleyGraph, tau: Sequence[int], check: Optional[DRGCheck] = None) -> CayleyGraph:
     """Cay(G, level set of tau(1)); re-verified distance-regular with the
     dual classes as distance classes and the Krein tensor as structure."""
@@ -378,21 +371,3 @@ def dual_graph(graph: CayleyGraph, tau: Sequence[int], check: Optional[DRGCheck]
             witness={**where, "i": i, "j": j, "k": k, "expected": int(q[i, j, k]), "found": int(p[i, j, k])},
         )
     return dgraph
-
-
-def tensor_parity_vanishing(tensor: Tensor) -> bool:
-    """True iff p_{ij}^k = 0 whenever i+j+k is odd (bipartite-type tensor)."""
-    r = len(tensor)
-    return all(
-        tensor[i][j][k] == 0
-        for i in range(r)
-        for j in range(r)
-        for k in range(r)
-        if (i + j + k) % 2 == 1
-    )
-
-
-def tensor_top_vanishing(tensor: Tensor) -> bool:
-    """True iff p_{dd}^k = 0 for all k outside {0, d} (antipodal-type tensor)."""
-    d = len(tensor) - 1
-    return all(tensor[d][d][k] == 0 for k in range(1, d))

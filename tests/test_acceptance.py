@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from drgcayley.algebra import fourier_roundtrip_batch
+from drgcayley.algebra import character_table
 from drgcayley.classify import (
     SearchSpec,
     classify_group,
@@ -18,14 +18,13 @@ from drgcayley.classify import (
     verify_main_theorem,
 )
 from drgcayley.constructions import order_p_subgroups, srg_array, td_line_graph
-from drgcayley.designs import direction_bound_check, directions, monomial_pas_search
+from drgcayley.cyclotomic import reduce_root_counts
+from drgcayley.designs import direction_bound_check, directions
 from drgcayley.errors import NotConnectedError, SpecError
 from drgcayley.graphs import (
     CayleyGraph,
     check_distance_regular,
     check_distance_regular_bruteforce,
-    clique_number,
-    delsarte_bound,
     spectrum,
 )
 from drgcayley.groups import make_group
@@ -36,6 +35,8 @@ from drgcayley.schur import (
     krein_parameters,
     q_polynomial_orderings,
 )
+
+from reference import clique_number, delsarte_bound, monomial_pas_search
 
 TARGET_MODULI = ((3, 3), (6, 3), (9, 3), (5, 5), (12, 3), (15, 3))
 FAST_MODULI = TARGET_MODULI[:4]
@@ -272,11 +273,19 @@ def _abelian_moduli(max_order):
 def test_fourier_roundtrip_identity():
     mods_list = _abelian_moduli(50)
     assert len(mods_list) == 86
-    rng = np.random.default_rng(20260815)
+    # sum_g chi_g(x) chi_g(-y) = |G| [x = y] for all x, y is the inversion
+    # formula a = (1/|G|) sum_g hat(a)(chi_g) chi_g(-.) for every integer
+    # vector a, read exactly off the character table
     for mods in mods_list:
         group = make_group(list(mods))
-        batch = rng.integers(-10 ** 6, 10 ** 6, size=(1000, group.order))
-        assert np.array_equal(fourier_roundtrip_batch(group, batch), batch)
+        n, m = group.order, group.exponent
+        table = character_table(group).astype(np.int64)
+        diff = (table[:, :, None] - table[:, None, :]) % m  # [g, x, y]
+        key = (np.arange(n * n).reshape(n, n) * m)[None] + diff
+        counts = np.bincount(key.ravel(), minlength=n * n * m).reshape(n * n, m)
+        gram = reduce_root_counts(counts, m)
+        assert np.array_equal(gram[:, 0].reshape(n, n), n * np.eye(n, dtype=np.int64))
+        assert not gram[:, 1:].any()
 
 
 def test_reports_identical_across_worker_counts():

@@ -3,17 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgcayley.algebra import (
-    AlgebraElement,
-    character_value,
-    fourier_coefficient,
-    fourier_inverse,
-    fourier_roundtrip_batch,
-    fourier_transform,
-)
-from drgcayley.cyclotomic import CyclotomicInteger, zeta
+from drgcayley.algebra import AlgebraElement, character_table, character_values
+from drgcayley.cyclotomic import CyclotomicInteger, euler_phi, zeta
 from drgcayley.errors import SpecError
 from drgcayley.groups import make_group
+
+from reference import fourier_coefficient, fourier_inverse, fourier_transform
 
 
 def test_convolution_hand_values():
@@ -64,8 +59,9 @@ def test_from_set_rejects_duplicates():
 
 def test_character_value():
     g = make_group([6])
-    assert character_value(g, g.element([1]), g.element([1])) == zeta(6, 1)
-    assert character_value(g, g.element([2]), g.element([3])) == 1
+    table = character_table(g)
+    assert zeta(6, int(table[g.index(g.element([1])), g.index(g.element([1]))])) == zeta(6, 1)
+    assert zeta(6, int(table[g.index(g.element([2])), g.index(g.element([3]))])) == 1
 
 
 def test_fourier_coefficient_subgroup():
@@ -118,19 +114,26 @@ def test_fourier_roundtrip_property(data):
 
 
 def test_batched_roundtrip_matches_scalar_path():
+    # character_values evaluates every character on a batch of sets at
+    # once; each entry must equal the per-character coefficient, and the
+    # coefficients must invert back to the set
     rng = np.random.default_rng(7)
     for mods in ([6], [2, 4], [3, 3], [12], [2, 2, 3]):
         g = make_group(mods)
-        batch = rng.integers(-9, 10, size=(4, g.order))
-        rec = fourier_roundtrip_batch(g, batch)
-        for row, out in zip(batch, rec):
-            assert np.array_equal(out, fourier_inverse(g, fourier_transform(g, row)))
-            assert np.array_equal(out, row)
+        batch = rng.integers(0, 2, size=(4, g.order))
+        vals = character_values(g, [np.flatnonzero(row) for row in batch])
+        for r, row in enumerate(batch):
+            for gi, ge in enumerate(g.elements()):
+                assert CyclotomicInteger(g.exponent, vals[gi, r].tolist()) == fourier_coefficient(g, row, ge)
+            assert np.array_equal(fourier_inverse(g, fourier_transform(g, row)), row)
 
 
 def test_batched_roundtrip_single_row_and_shape_guard():
     g = make_group([5])
-    vec = np.array([2, -1, 0, 4, 1])
-    assert np.array_equal(fourier_roundtrip_batch(g, vec)[0], vec)
-    with pytest.raises(SpecError):
-        fourier_roundtrip_batch(g, np.zeros((2, 4), dtype=np.int64))
+    vec = np.array([1, 0, 0, 1, 1])
+    vals = character_values(g, [np.flatnonzero(vec)])
+    assert vals.shape == (5, 1, euler_phi(5))
+    values = [CyclotomicInteger(5, vals[gi, 0].tolist()) for gi in range(5)]
+    assert np.array_equal(fourier_inverse(g, values), vec)
+    empty = character_values(g, [[]])
+    assert empty.shape == (5, 1, euler_phi(5)) and not empty.any()

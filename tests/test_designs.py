@@ -6,30 +6,29 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from drgcayley.algebra import AlgebraElement, fourier_coefficient
+from drgcayley.algebra import AlgebraElement
 from drgcayley.cyclotomic import CyclotomicInteger, zeta
 from drgcayley.designs import (
-    CertificateOutcome,
-    DirectionSet,
-    LevelSetCertificate,
-    PASCheck,
-    RDSCheck,
-    _character_value_branches,
-    _power_identity_residuals,
-    _sqrt_in_cyclotomic,
-    _squarefree_part,
     direction_bound_check,
     directions,
     is_polynomial_addition_set,
     is_relative_difference_set,
+)
+from drgcayley.errors import SpecError
+from drgcayley.graphs import CayleyGraph
+from drgcayley.groups import all_subgroups, make_group
+
+from reference import (
+    _character_value_branches,
+    _power_identity_residuals,
+    _sqrt_in_cyclotomic,
+    _squarefree_part,
+    fourier_coefficient,
     level_set_certificate,
     ma_decompose,
     monomial_pas_search,
     rds_order_constraint,
 )
-from drgcayley.errors import SpecError
-from drgcayley.graphs import CayleyGraph, build
-from drgcayley.groups import all_subgroups, make_group
 
 
 def els(group, coords):
@@ -472,37 +471,37 @@ def test_certificate_taylor_level_set_values():
 def test_certificate_q4_needs_odd_fiber():
     g = make_group([2, 2, 2, 2])
     conn = els(g, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1)])
-    out = level_set_certificate(build(g, conn), 1)
+    out = level_set_certificate(CayleyGraph(g, conn), 1)
     assert out.status == "precondition-unmet"
     assert "odd prime" in out.reason
 
 
 def test_certificate_rejects_wrong_shapes():
     g33 = make_group([3, 3])
-    k33 = build(g33, els(g33, [(1, 0), (2, 0), (1, 1), (2, 2), (1, 2), (2, 1)]))
+    k33 = CayleyGraph(g33, els(g33, [(1, 0), (2, 0), (1, 1), (2, 2), (1, 2), (2, 1)]))
     assert "diameter 2" in level_set_certificate(k33, 1).reason
 
     g32 = make_group([3, 2])
-    c6 = build(g32, els(g32, [(1, 1), (2, 1)]))
+    c6 = CayleyGraph(g32, els(g32, [(1, 1), (2, 1)]))
     assert "non-bipartite" in level_set_certificate(c6, 1).reason
 
     g63 = make_group([6, 3])
     half = [g63.element((a, b)) for a in (0, 2, 4) for b in range(3)]
-    crown = build(g63, [h + g63.element((3, 0)) for h in half])
+    crown = CayleyGraph(g63, [h + g63.element((3, 0)) for h in half])
     assert "not the fiber" in level_set_certificate(crown, 1).reason
 
     g8 = make_group([8])
-    c8 = build(g8, els(g8, [[1], [7]]))
+    c8 = CayleyGraph(g8, els(g8, [[1], [7]]))
     assert "fiber coordinate" in level_set_certificate(c8, 1).reason
 
     g9 = make_group([3, 3, 9])
     assert "not prime" in level_set_certificate(
-        build(g9, els(g9, [(0, 0, 1), (0, 0, 8)])), 1).reason
+        CayleyGraph(g9, els(g9, [(0, 0, 1), (0, 0, 8)])), 1).reason
 
 
 def test_certificate_disconnected_graph():
     g = make_group([3, 3])
-    out = level_set_certificate(build(g, els(g, [(0, 1), (0, 2)])), 1)
+    out = level_set_certificate(CayleyGraph(g, els(g, [(0, 1), (0, 2)])), 1)
     assert out.status == "precondition-unmet"
     assert "connected" in out.reason
 

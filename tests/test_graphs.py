@@ -1,32 +1,33 @@
 import itertools as it
+import json
 
 import numpy as np
 import pytest
 
-from drgcayley.errors import InvariantViolation, NotConnectedError, SpecError
+from drgcayley.cli import run
+from drgcayley.errors import NotConnectedError, SpecError
 from drgcayley.graphs import (
     CayleyGraph,
     IntersectionArray,
-    antipodal_quotient,
-    bipartition_subgroup,
-    boolean_algebra_membership,
-    build,
     check_distance_regular,
     check_distance_regular_bruteforce,
-    clique_number,
     decode_graph6,
-    delsarte_bound,
     detect_family,
     distance_partition,
     export_graph6,
-    graph_report,
-    halved_graph,
     imprimitivity,
-    integrality_agreement,
-    quotient_by_subgroup,
     spectrum,
 )
-from drgcayley.groups import generated_subgroup, make_group, parse_element_set
+from drgcayley.groups import atoms, generated_subgroup, make_group
+
+from reference import (
+    antipodal_quotient,
+    bipartition_subgroup,
+    clique_number,
+    delsarte_bound,
+    halved_graph,
+    quotient_by_subgroup,
+)
 
 
 def cay(mods, pairs):
@@ -79,6 +80,9 @@ def test_build_validation():
         CayleyGraph(g, [g.element([0, 0])])
     with pytest.raises(SpecError):
         CayleyGraph(g, [g.element([1, 1])])  # not inverse closed
+    z4 = make_group([4])
+    with pytest.raises(SpecError):
+        CayleyGraph(g, [z4.element([1]), z4.element([3])])  # elements of another group
     gr = CayleyGraph(g, [g.element([1, 1]), g.element([5, 2])])
     assert gr.degree == 2
 
@@ -270,10 +274,14 @@ def test_level_sets_inverse_closed_and_partition():
 
 
 def test_integrality_vs_atoms():
-    assert integrality_agreement(complete_graph([3, 3])) is True
-    assert integrality_agreement(cycle_graph(5)) is False
-    assert integrality_agreement(srg942()) is True
-    assert boolean_algebra_membership(make_group([5]), frozenset()) is True
+    # the spectrum is integral iff S is a union of atoms {x : <x> = <g>}
+    def atom_union(group, conn):
+        return all(len(conn.intersection(part)) in (0, len(part)) for part in atoms(group))
+
+    for gr, integral in ((complete_graph([3, 3]), True), (cycle_graph(5), False), (srg942(), True)):
+        assert all(v.is_rational_integer for v in spectrum(gr).values) is integral
+        assert atom_union(gr.group, gr.connection) is integral
+    assert atom_union(make_group([5]), frozenset()) is True
 
 
 # -- imprimitivity and reductions -----------------------------------------------------
@@ -432,13 +440,18 @@ def test_graph6_long_form():
 # -- report ---------------------------------------------------------------------------------
 
 
-def test_graph_report_shape():
-    rep = graph_report(srg942())
-    assert rep["distance_regular"] is True
-    assert rep["array"] == "{4,2;1,2}"
-    assert rep["family"] == "union-of-order-p-subgroups"
-    assert rep["flags"]["integral"] is True
-    assert sum(e["multiplicity"] for e in rep["spectrum"]) == 9
+def test_graph_report_shape(capsys):
+    def report(*argv):
+        code = run(["--format", "json", *argv])
+        return code, json.loads(capsys.readouterr().out)
 
-    rep = graph_report(cay([6], [[2], [3], [4]]))
-    assert rep["distance_regular"] is False and "witness" in rep
+    code, rep = report("check", "--group", "3,3", "--set", "1,0;2,0;0,1;0,2")
+    assert code == 0 and rep["ok"] is True
+    assert rep["intersection_array"]["b"] == [4, 2] and rep["intersection_array"]["c"] == [1, 2]
+    assert rep["family"] == "union-of-order-p-subgroups"
+    code, rep = report("spectrum", "--group", "3,3", "--set", "1,0;2,0;0,1;0,2")
+    assert code == 0 and sum(e["multiplicity"] for e in rep["eigenvalues"]) == 9
+    assert all(float(e["value_exact"]) == e["value_numeric"] for e in rep["eigenvalues"])  # integral
+
+    code, rep = report("check", "--group", "6", "--set", "2;3;4")
+    assert code == 1 and rep["ok"] is False and "witness" in rep
