@@ -14,7 +14,7 @@ from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cyclotomic import reduce_root_counts
+from .cyclotomic import euler_phi, reduce_root_counts
 from .errors import SpecError
 from .groups import GROUP_CACHE_SIZE, AbelianGroup, GroupElement
 
@@ -127,12 +127,12 @@ def character_values(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> n
 
     Returns the power-basis coordinates at the group exponent m as an
     (n, r, phi(m)) array, one row per character in index order; the
-    classes need not cover the group.  Each value is the root-count
-    vector of its class under the character table, reduced by
+    classes need not cover the group, and r may be 0.  Each value is the
+    root-count vector of its class under the character table, reduced by
     reduce_root_counts.
     """
     n, m = group.order, group.exponent
-    r = len(classes)
+    r, phi = len(classes), euler_phi(m)
     members = [np.asarray(cls, dtype=np.intp).reshape(-1) for cls in classes]
     cols = np.concatenate(members) if members else np.zeros(0, dtype=np.intp)
     # a (g, x) pair adds one to counts[g, class of x, e(g, x)]
@@ -147,5 +147,5 @@ def character_values(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> n
         key += np.arange(k, dtype=np.intp)[:, None] * (r * m)
         counts = np.bincount(key.ravel(), minlength=k * r * m).reshape(k * r, m)
         vals = reduce_root_counts(counts, m)
-        blocks.append(vals.reshape(k, r, -1))
+        blocks.append(vals.reshape(k, r, phi))
     return np.concatenate(blocks)

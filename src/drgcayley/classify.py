@@ -8,10 +8,16 @@ constant on the set and on its coverage ring), and the full
 distance-regularity check.  The screen walks the low orbit bits in Gray
 order, so consecutive sets differ by one orbit and conv(S) is updated in
 place.  It keeps one row per {g,-g} orbit rather than per element, since
-an inverse-closed S has conv(S)[g] == conv(S)[-g], and it decides
-constancy in integers: values c on k orbit rows are constant iff
-k * sum(c^2) == sum(c)^2 (the equality case of Cauchy-Schwarz).  It can
-only over-approximate the answer set, never drop a graph.
+an inverse-closed S has conv(S)[g] == conv(S)[-g].  With S = H + Lo, H
+the high orbits fixed per column and Lo the low orbits shared by all
+columns, conv(S) = conv(H) + 2 (H * Lo) + conv(Lo), so toggling low orbit
+o_j adds or subtracts D_j = 2 (o_j * H), built once per worker, and one
+column-independent vector: the update does no gathers.  Counts are at most
+|S| < |G| <= 127, so the walk runs exactly in int8, and conv is constant
+on S iff its max there is at most its min.  The coverage-ring test on the
+few columns left is exact in int64: values c on k rows are constant iff
+k * sum(c^2) == sum(c)^2 (the equality case of Cauchy-Schwarz).  The
+screen can only over-approximate the answer set, never drop a graph.
 
 Blocks of subset ids split statically across worker processes, which
 return the screen's survivors with their Aut(G) canonical forms.  An
@@ -111,6 +117,8 @@ def enumerate_connection_sets(group: AbelianGroup, limit: int = MAX_SUBSETS) -> 
 # Gray-code screen
 
 HIGH_BITS = 12
+# |G| bound of the int8 screen: B <= 63 orbits (int64 ids) give |G| <= 2B + 1 <= 127
+INT8_ORDER = 127
 
 
 def _low_bits(B: int) -> int:
@@ -170,34 +178,35 @@ def _tables(moduli: Tuple[int, ...]) -> _ScanTables:
     return _ScanTables(moduli)
 
 
-def _orbit_delta(
-    tab: _ScanTables, ind: np.ndarray, j: int, out: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """conv(T + o_j) - conv(T) per column, into `out`, on orbit rows, for
-    the sets T in `ind` (orbit rows; o_j not among them): 2 * (o_j * T) +
-    o_j * o_j, where (o_j * T)[g] is the sum over x in o_j of T[g - x],
-    read at g = rep_r for row r."""
-    # mode="clip" lets take write into `out` unbuffered; the indices are
-    # orbit rows, so none is clipped.
+def _cross(tab: _ScanTables, ind: np.ndarray, j: int) -> np.ndarray:
+    """2 * (o_j * T) per column of `ind` (the sets T, on orbit rows), where
+    (o_j * T)[g] is the sum over x in o_j of T[g - x], read at g = rep_r
+    for row r.  Entries are at most 2 * |o_j| <= 4."""
     orb = tab.basis[j]
-    np.take(ind, tab.gather[:, orb[0]], axis=0, out=out, mode="clip")
+    out = ind[tab.gather[:, orb[0]]]
     if len(orb) == 2:
-        out += np.take(ind, tab.gather[:, orb[1]], axis=0, out=tmp, mode="clip")
+        out += ind[tab.gather[:, orb[1]]]
     out *= 2
+    return out
+
+
+def _orbit_delta(tab: _ScanTables, ind: np.ndarray, j: int) -> np.ndarray:
+    """conv(T + o_j) - conv(T) per column, on orbit rows, for the sets T in
+    `ind` (o_j not among them): 2 * (o_j * T) + o_j * o_j."""
+    out = _cross(tab, ind, j)
     for r, count in tab.self_conv[j]:
         out[r] += count
     return out
 
 
 def _constant(vals: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per column: are the integers in `vals`, zero off a set of k rows,
+    """Per column: are the int64 values in `vals`, zero off a set of k rows,
     constant on those rows?  By Cauchy-Schwarz k * sum(c^2) >= sum(c)^2,
-    with equality exactly when they are.  The column sums may run in int32:
-    entries are at most |S| < n on B + 1 <= n rows, so sum(c^2) <
-    (B + 1) * n^2 <= n^3, and n <= 2B + 1 is far below 1290 for any
-    enumerable B."""
-    s1 = np.einsum("ij->j", vals).astype(np.int64)
-    s2 = np.einsum("ij,ij->j", vals, vals).astype(np.int64)
+    with equality exactly when they are.  The screen tests the coverage ring
+    this way, exactly, on the few columns whose S passed the walk's int8
+    max <= min test."""
+    s1 = vals.sum(axis=0)
+    s2 = np.einsum("ij,ij->j", vals, vals)
     return k * s2 == s1 * s1
 
 
@@ -209,51 +218,82 @@ def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
     Both conditions are necessary for distance-regularity: conv(S)[g] is the
     number of common neighbours of 0 and g (a_1 on S itself, c_2 on the
     nonzero elements it covers outside itself).  Each prefix is one column
-    of `ind` (the indicator of S) and `conv`, both on the B + 1 orbit rows:
-    conv is constant on S (or on its coverage ring) iff it is constant on
-    their orbit representatives.  The walk toggles one low orbit per step,
-    in Gray order, and updates every column at once.
+    of `conv`, on the B + 1 orbit rows: conv is constant on S (or on its
+    coverage ring) iff it is constant on their orbit representatives.
+
+    S splits into its column's high orbits H, fixed for the whole walk, and
+    the low orbits Lo, shared by every column, so conv(S) = conv(H) +
+    2 (H * Lo) + conv(Lo).  The walk toggles one low orbit o_j per step, in
+    Gray order, and moves every column by D_j = 2 (o_j * H), built once,
+    plus the column-independent 2 (o_j * Lo) + o_j * o_j.  Every count is
+    at most |S| < |G| <= INT8_ORDER, so the walk runs in int8.
     """
+    n = tab.group.order
+    if n > INT8_ORDER:
+        raise InvariantViolation(
+            f"the int8 screen needs |G| <= {INT8_ORDER}, got {n}",
+            witness={"order": n, "bound": INT8_ORDER},
+        )
     L = _low_bits(tab.B)
     if lo % (1 << L) or hi % (1 << L):
         raise InvariantViolation(f"scan range [{lo}, {hi}) is not aligned to blocks of 2^{L} ids")
     prefixes = np.arange(lo >> L, hi >> L, dtype=np.int64)
-    ind = np.zeros((tab.B + 1, len(prefixes)), dtype=np.int32)
-    conv, delta, tmp = np.zeros_like(ind), np.empty_like(ind), np.empty_like(ind)
+    ind = np.zeros((tab.B + 1, len(prefixes)), dtype=np.int8)
+    conv = np.zeros_like(ind)
     for j in range(L, tab.B):
-        bit = ((prefixes >> (j - L)) & 1).astype(np.int32)
-        conv += _orbit_delta(tab, ind, j, delta, tmp) * bit
+        bit = ((prefixes >> (j - L)) & 1).astype(np.int8)
+        conv += _orbit_delta(tab, ind, j) * bit
         ind[j + 1] = bit
-    k_high = ind.sum(axis=0, dtype=np.int64)
+    cross = np.empty((L,) + ind.shape, dtype=np.int8)
+    for j in range(L):
+        cross[j] = _cross(tab, ind, j)
+    # on the high rows, conv & and_mask is conv on H and 0 elsewhere, and
+    # conv | or_mask is conv on H and INT8_ORDER (above any count) elsewhere
+    and_mask = -ind[L + 1 :]
+    or_mask = ~and_mask & np.int8(INT8_ORDER)
     # inside_high[m, c]: the high orbits of prefix c all lie in maximal
     # subgroup m; S is disconnected iff that also holds for its low orbits.
     inside_high = np.array(
         [(prefixes & (mask >> L)) == 0 for mask in tab.outside_masks], dtype=bool
     ).reshape(len(tab.outside_masks), len(prefixes))
+    # conn_of[inside]: the connected columns when exactly the subgroups in
+    # `inside` contain Lo, and their count
+    conn_of: Dict[Tuple[int, ...], Tuple[np.ndarray, int]] = {}
+    low_ind = np.zeros(tab.B + 1, dtype=np.int8)
     connected = 0
     found = []
-    low = k_low = 0
+    low = 0
     for t in range(1 << L):
         if t:
             j = (t & -t).bit_length() - 1
             low ^= 1 << j
             if low >> j & 1:
-                conv += _orbit_delta(tab, ind, j, delta, tmp)
-                ind[j + 1] = 1
-                k_low += 1
+                conv += cross[j]
+                conv += _orbit_delta(tab, low_ind, j)[:, None]
+                low_ind[j + 1] = 1
             else:
-                ind[j + 1] = 0
-                conv -= _orbit_delta(tab, ind, j, delta, tmp)
-                k_low -= 1
-        inside = [m for m, mask in enumerate(tab.outside_masks) if not low & mask]
-        conn = ~inside_high[inside].any(axis=0)
-        connected += int(conn.sum())
-        on_set = np.multiply(ind, conv, out=tmp)
-        cols = np.flatnonzero(conn & _constant(on_set, k_high + k_low))
+                low_ind[j + 1] = 0
+                conv -= cross[j]
+                conv -= _orbit_delta(tab, low_ind, j)[:, None]
+        inside = tuple(m for m, mask in enumerate(tab.outside_masks) if not low & mask)
+        if inside not in conn_of:
+            conn = ~inside_high[list(inside)].any(axis=0)
+            conn_of[inside] = conn, int(conn.sum())
+        conn, count = conn_of[inside]
+        connected += count
+        # conv is constant on S iff max <= min there; an empty S reads
+        # max 0 and min INT8_ORDER, so it is vacuously constant
+        top = np.maximum.reduce(conv[L + 1 :] & and_mask, axis=0, initial=0)
+        bottom = np.minimum.reduce(conv[L + 1 :] | or_mask, axis=0, initial=INT8_ORDER)
+        if low:
+            on_low = conv[np.flatnonzero(low_ind)]
+            np.maximum(top, on_low.max(axis=0), out=top)
+            np.minimum(bottom, on_low.min(axis=0), out=bottom)
+        cols = np.flatnonzero(conn & (top <= bottom))
         if not len(cols):
             continue
-        c = conv[:, cols]
-        covered = (ind[:, cols] == 0) & (c > 0)
+        c = conv[:, cols].astype(np.int64)
+        covered = ((ind[:, cols] | low_ind[:, None]) == 0) & (c > 0)
         covered[0] = False
         keep = cols[_constant(np.where(covered, c, 0), covered.sum(axis=0))]
         found.append((prefixes[keep] << L) | low)
@@ -402,6 +442,8 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
             f"{total} connection sets over {group} exceed the limit {spec.max_subsets};"
             " raise max_subsets explicitly"
         )
+    if len(basis) > 63:
+        raise SpecError(f"subset ids are int64: {group} has {len(basis)} > 63 orbit bits")
     t0 = time.perf_counter()
     # workers take whole blocks of 2^L ids, the unit of the Gray-code walk
     L = _low_bits(len(basis))

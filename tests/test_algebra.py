@@ -137,3 +137,4 @@ def test_batched_roundtrip_single_row_and_shape_guard():
     assert np.array_equal(fourier_inverse(g, values), vec)
     empty = character_values(g, [[]])
     assert empty.shape == (5, 1, euler_phi(5)) and not empty.any()
+    assert character_values(g, []).shape == (5, 0, euler_phi(5))

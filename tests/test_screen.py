@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from drgcayley import classify
 from drgcayley.classify import _set_of_mask, inverse_pair_basis
 from drgcayley.cli import run
-from drgcayley.errors import NotConnectedError
+from drgcayley.errors import NotConnectedError, SpecError
 from drgcayley.graphs import CayleyGraph, check_distance_regular
 from drgcayley.groups import make_group
 
@@ -24,8 +24,9 @@ GROUPS = [m for m in CANDIDATES if len(inverse_pair_basis(make_group(m))) <= 13]
 
 
 @lru_cache(maxsize=None)
-def reference_screen(moduli):
-    """(connected count, survivor ids) over every mask, by brute force.
+def reference_screen(moduli, lo=0, hi=None):
+    """(connected count, survivor ids) over the masks lo <= id < hi (every
+    mask by default), by brute force.
 
     conv(S) is a direct convolution of the indicator on the group's
     coordinate grid, connectivity is the closure of {0} under adding S,
@@ -34,7 +35,7 @@ def reference_screen(moduli):
     group = make_group(moduli)
     basis = inverse_pair_basis(group)
     n, shape = group.order, tuple(moduli)
-    ids = np.arange(1 << len(basis))
+    ids = np.arange(lo, (1 << len(basis)) if hi is None else hi)
     ind = np.zeros((len(ids), n), dtype=np.int64)
     for j, orb in enumerate(basis):
         ind[:, list(orb)] = (ids >> j & 1)[:, None]
@@ -97,6 +98,37 @@ def test_block_partitions_match_reference(data):
     assert [sid for p in parts for sid, _ in p[1]] == sorted(survivors)
 
 
+@settings(max_examples=1, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("moduli", [(15, 3), (7, 7)], ids=["z15x3-L10", "z7x7-L12"])
+def test_deep_walk_blocks_match_reference(moduli, data):
+    """Full blocks of 2^L ids at the default HIGH_BITS, L = B - 12, where
+    every low orbit is toggled on and off many times: a random block, and
+    the last one, whose sets contain every high orbit (G minus 0, the
+    complete graph, is among them and survives)."""
+    tab = classify._tables(moduli)
+    L = classify._low_bits(tab.B)
+    assert L >= 10
+    last = (1 << (tab.B - L)) - 1
+    for prefix in sorted({data.draw(st.integers(0, last)), last}):
+        lo, hi = prefix << L, (prefix + 1) << L
+        connected, ids = classify._screen(tab, lo, hi)
+        assert (connected, frozenset(ids.tolist())) == reference_screen(moduli, lo, hi)
+    assert (1 << tab.B) - 1 in ids
+
+
+def test_int8_screen_refuses_a_group_above_its_order_bound():
+    group = make_group([128])
+    # B = 64 orbit bits: a raised limit alone does not reach the screen
+    with pytest.raises(SpecError):
+        classify.classify_group(classify.SearchSpec(group, max_subsets=1 << 70))
+    # L = 0 and an empty id range keep the walk to one step of empty columns
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(classify.InvariantViolation) as err:
+        mp.setattr(classify, "HIGH_BITS", 64)
+        classify._screen(classify._tables((128,)), 0, 0)
+    assert err.value.witness == {"order": 128, "bound": classify.INT8_ORDER}
+
+
 # singleton and pair orbits mixed, and Z_2^4 with singletons only (B + 1 = |G|)
 ORBIT_ROW_GROUPS = GROUPS + [(8, 2), (4, 2, 2), (14, 2), (2, 2, 2, 2)]
 
@@ -124,8 +156,7 @@ def test_orbit_delta_on_orbit_rows_matches_element_convolution(data):
     ind = np.array(
         [[0] * len(masks)] + [[mask >> i & 1 for mask in masks] for i in range(tab.B)], dtype=np.int32
     )
-    out, tmp = np.empty_like(ind), np.empty_like(ind)
-    got = classify._orbit_delta(tab, ind, j, out, tmp)
+    got = classify._orbit_delta(tab, ind, j)
     for col, mask in enumerate(masks):
         elems = classify._mask_indices(tab.basis, mask)
         grown = elems + list(tab.basis[j])
