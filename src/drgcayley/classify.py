@@ -19,12 +19,16 @@ few columns left is exact in int64: values c on k rows are constant iff
 k * sum(c^2) == sum(c)^2 (the equality case of Cauchy-Schwarz).  The
 screen can only over-approximate the answer set, never drop a graph.
 
-Blocks of subset ids split statically across worker processes, which
-return the screen's survivors with their Aut(G) canonical forms.  An
-automorphism sigma maps Cay(G, S) onto Cay(G, sigma S), so
-`classify_group` makes the final, exact check once per canonical form on
-the merged survivors; the report's serialized form is therefore
-byte-identical for any worker count.
+The unit of parallel work is a range of Gray steps over every column: a
+range starting at step t first adds the low orbits of gray(t) =
+t ^ (t >> 1), then walks on as usual.  Worker processes, spawned only for
+searches of at least `SPAWN_SUBSETS` sets (smaller ones run in process
+whatever the worker count, since spawning costs more than it saves),
+take equal step ranges and return the screen's survivors with their
+Aut(G) canonical forms.  An automorphism sigma maps Cay(G, S) onto
+Cay(G, sigma S), so `classify_group` makes the final, exact check once per
+canonical form on the merged survivors; the report's serialized form is
+therefore byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -119,11 +123,16 @@ def enumerate_connection_sets(group: AbelianGroup, limit: int = MAX_SUBSETS) -> 
 HIGH_BITS = 12
 # |G| bound of the int8 screen: B <= 63 orbits (int64 ids) give |G| <= 2B + 1 <= 127
 INT8_ORDER = 127
+# searches of fewer sets run in process whatever the worker count: on 2
+# cores, two spawned workers (about 0.25 s to start) lost at 2^25 sets,
+# tied at 2^26 and won from 2^27 on (CHANGES.md)
+SPAWN_SUBSETS = 1 << 27
 
 
 def _low_bits(B: int) -> int:
-    """Orbit bits walked in Gray order; the top min(B, HIGH_BITS) bits of an
-    id are its prefix, and the 2^L ids sharing a prefix form one block."""
+    """Orbit bits walked in Gray order, L = B - min(B, HIGH_BITS): the top
+    bits of an id are its prefix (its column), and the walk takes 2^L
+    steps over every column."""
     return max(B - HIGH_BITS, 0)
 
 
@@ -212,8 +221,9 @@ def _constant(vals: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
     """(connected count, sorted ids of connected candidates whose
-    first-level counts are constant) over lo <= id < hi, both multiples of
-    2^L.
+    first-level counts are constant) over the Gray steps lo <= t < hi of
+    the walk, 0 <= lo <= hi <= 2^L, in every column: the ids
+    (prefix << L) | gray(t) for every prefix, gray(t) = t ^ (t >> 1).
 
     Both conditions are necessary for distance-regularity: conv(S)[g] is the
     number of common neighbours of 0 and g (a_1 on S itself, c_2 on the
@@ -225,8 +235,10 @@ def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
     the low orbits Lo, shared by every column, so conv(S) = conv(H) +
     2 (H * Lo) + conv(Lo).  The walk toggles one low orbit o_j per step, in
     Gray order, and moves every column by D_j = 2 (o_j * H), built once,
-    plus the column-independent 2 (o_j * Lo) + o_j * o_j.  Every count is
-    at most |S| < |G| <= INT8_ORDER, so the walk runs in int8.
+    plus the column-independent 2 (o_j * Lo) + o_j * o_j.  A range starts
+    by adding the low orbits of gray(lo) one at a time, by the same
+    updates.  Every count is at most |S| < |G| <= INT8_ORDER, so the walk
+    runs in int8.
     """
     n = tab.group.order
     if n > INT8_ORDER:
@@ -235,9 +247,12 @@ def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
             witness={"order": n, "bound": INT8_ORDER},
         )
     L = _low_bits(tab.B)
-    if lo % (1 << L) or hi % (1 << L):
-        raise InvariantViolation(f"scan range [{lo}, {hi}) is not aligned to blocks of 2^{L} ids")
-    prefixes = np.arange(lo >> L, hi >> L, dtype=np.int64)
+    if not 0 <= lo <= hi <= 1 << L:
+        raise InvariantViolation(
+            f"step range [{lo}, {hi}) is not within the 2^{L} steps of the walk",
+            witness={"lo": lo, "hi": hi, "steps": 1 << L},
+        )
+    prefixes = np.arange(1 << (tab.B - L), dtype=np.int64)
     ind = np.zeros((tab.B + 1, len(prefixes)), dtype=np.int8)
     conv = np.zeros_like(ind)
     for j in range(L, tab.B):
@@ -260,11 +275,16 @@ def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
     # `inside` contain Lo, and their count
     conn_of: Dict[Tuple[int, ...], Tuple[np.ndarray, int]] = {}
     low_ind = np.zeros(tab.B + 1, dtype=np.int8)
+    low = lo ^ (lo >> 1)
+    for j in range(L):
+        if low >> j & 1:
+            conv += cross[j]
+            conv += _orbit_delta(tab, low_ind, j)[:, None]
+            low_ind[j + 1] = 1
     connected = 0
     found = []
-    low = 0
-    for t in range(1 << L):
-        if t:
+    for t in range(lo, hi):
+        if t > lo:
             j = (t & -t).bit_length() - 1
             low ^= 1 << j
             if low >> j & 1:
@@ -303,10 +323,10 @@ def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
 
 def _scan_range(args) -> Tuple[int, List[Tuple[int, Tuple[int, ...]]]]:
     """Worker body: (moduli, lo, hi) -> (connected, [(id, canonical form)]
-    of the screen's survivors), lo and hi being multiples of 2^L.
+    of the screen's survivors) over the Gray steps lo <= t < hi.
 
-    Pure over immutable tables, so any block-aligned partition of the id
-    space yields the same merged result.
+    Pure over immutable tables, so any partition of the 2^L steps into
+    ranges yields the same merged result.
     """
     moduli, lo, hi = args
     tab = _tables(tuple(moduli))
@@ -427,9 +447,18 @@ def _sorted_element_tuple(group: AbelianGroup, indices: Sequence[int]) -> Tuple[
     return tuple(group.from_index(i) for i in sorted(indices))
 
 
+def _formatted(conn) -> List[str]:
+    """A connection set as its formatted elements, in sorted order."""
+    return [format_element(e) for e in sorted(conn)]
+
+
 def classify_group(spec: SearchSpec) -> ClassificationReport:
     """Scan every inverse-closed subset of G\\{0} and report the
-    distance-regular ones, grouped by Aut(G)-class."""
+    distance-regular ones, grouped by Aut(G)-class.
+
+    With `spec.workers` > 1 and at least `SPAWN_SUBSETS` subsets, spawned
+    workers walk equal ranges of the Gray steps; smaller searches run in
+    process.  The report is the same either way."""
     import time
 
     if spec.workers < 1:
@@ -445,11 +474,10 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
     if len(basis) > 63:
         raise SpecError(f"subset ids are int64: {group} has {len(basis)} > 63 orbit bits")
     t0 = time.perf_counter()
-    # workers take whole blocks of 2^L ids, the unit of the Gray-code walk
-    L = _low_bits(len(basis))
-    blocks = total >> L
-    workers = min(spec.workers, blocks)
-    bounds = [(blocks * w // workers) << L for w in range(workers + 1)]
+    # workers take equal ranges of the 2^L Gray steps, each over every column
+    steps = 1 << _low_bits(len(basis))
+    workers = min(spec.workers, steps) if total >= SPAWN_SUBSETS else 1
+    bounds = [steps * w // workers for w in range(workers + 1)]
     jobs = [(group.moduli, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
         results = [_scan_range(jobs[0])]
@@ -533,10 +561,7 @@ class CatalogDiff:
 
     @staticmethod
     def _side(entries) -> list:
-        return [
-            {"connection": [format_element(e) for e in sorted(c)], "family": label}
-            for c, label in entries
-        ]
+        return [{"connection": _formatted(c), "family": label} for c, label in entries]
 
     def to_dict(self) -> dict:
         return {
@@ -553,13 +578,21 @@ class CatalogDiff:
 
 
 def _diff_against(report: ClassificationReport, catalog: Sequence[CatalogEntry]) -> CatalogDiff:
-    expected = {entry.connection: str(entry.label) for entry in catalog}
-    if len(expected) != len(catalog):
-        raise InvariantViolation("expected catalog lists a connection set twice")
-    found = dict()
+    expected: Dict[frozenset, str] = {}
+    for entry in catalog:
+        if entry.connection in expected:
+            raise InvariantViolation(
+                "expected catalog lists a connection set twice",
+                witness={"connection": _formatted(entry.connection)},
+            )
+        expected[entry.connection] = str(entry.label)
+    found: Dict[frozenset, str] = {}
     for conn, label in report.drg_multiset():
         if conn in found:
-            raise InvariantViolation("classification reported a connection set twice")
+            raise InvariantViolation(
+                "classification reported a connection set twice",
+                witness={"connection": _formatted(conn)},
+            )
         found[conn] = label
     order = lambda t: (len(t[0]), sorted(e.coords for e in t[0]))
     missing = sorted(
@@ -646,17 +679,20 @@ def nonexistence_report(
     exempt = group.moduli[0] == group.moduli[1]
     for rec in report.records:
         if rec.antipodal and not rec.bipartite and rec.array.d == 3:
-            raise InvariantViolation(
-                f"antipodal non-bipartite diameter-3 set survived: {rec.to_dict()}"
-            )
-        if rec.antipodal and rec.bipartite and rec.array.d == 4:
-            raise InvariantViolation(
-                f"antipodal bipartite diameter-4 set survived: {rec.to_dict()}"
-            )
-        if not exempt and rec.primitive and rec.family.kind != "complete":
-            raise InvariantViolation(
-                f"primitive non-complete set survived: {rec.to_dict()}"
-            )
+            trap = "antipodal non-bipartite diameter-3"
+        elif rec.antipodal and rec.bipartite and rec.array.d == 4:
+            trap = "antipodal bipartite diameter-4"
+        elif not exempt and rec.primitive and rec.family.kind != "complete":
+            trap = "primitive non-complete"
+        else:
+            continue
+        raise InvariantViolation(
+            f"{trap} set survived: {rec.to_dict()}",
+            witness={
+                "connection": _formatted(rec.connection),
+                "intersection_array": rec.array.to_dict(),
+            },
+        )
     return NonexistenceReport(
         group=group,
         records_checked=len(report.records),

@@ -22,7 +22,7 @@ from drgcayley.classify import (
 from drgcayley.constructions import expected_catalog
 from drgcayley.errors import InvariantViolation, SpecError
 from drgcayley.graphs import CayleyGraph, IntersectionArray, check_distance_regular
-from drgcayley.groups import make_group
+from drgcayley.groups import format_element, make_group
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +221,23 @@ def test_diff_flags_missing_and_unexpected():
     assert len(diff2.missing) == 1 and len(diff2.unexpected) == 1
 
 
+def test_diff_duplicate_traps_carry_the_set():
+    g = make_group([3, 3])
+    rep = classify_group(SearchSpec(g))
+    catalog = expected_catalog(g)
+    with pytest.raises(InvariantViolation) as err:
+        _diff_against(rep, list(catalog) + [catalog[0]])
+    assert err.value.witness == {
+        "connection": [format_element(e) for e in sorted(catalog[0].connection)]
+    }
+    rec = rep.records[-1]
+    twice = replace(rec, members=rec.members + rec.members[:1])
+    doubled = replace(rep, records=rep.records[:-1] + (twice,))
+    with pytest.raises(InvariantViolation) as err:
+        _diff_against(doubled, catalog)
+    assert err.value.witness == {"connection": [format_element(e) for e in rec.members[0]]}
+
+
 @pytest.mark.parametrize(
     "n,families",
     [
@@ -282,12 +299,17 @@ def test_nonexistence_bug_traps():
     rep = classify_group(SearchSpec(make_group([6, 3])))
     crown_rec = next(r for r in rep.records if r.family.kind == "crown")
     multi_rec = next(r for r in rep.records if r.family.kind == "multipartite")
-    with pytest.raises(InvariantViolation):
-        nonexistence_report(_doctored(rep, crown_rec, replace(crown_rec, bipartite=False)))
     deep = replace(
         crown_rec, array=IntersectionArray((4, 3, 2, 1), (1, 2, 3, 4))
     )
-    with pytest.raises(InvariantViolation):
-        nonexistence_report(_doctored(rep, crown_rec, deep))
-    with pytest.raises(InvariantViolation):
-        nonexistence_report(_doctored(rep, multi_rec, replace(multi_rec, primitive=True)))
+    for old, new in [
+        (crown_rec, replace(crown_rec, bipartite=False)),
+        (crown_rec, deep),
+        (multi_rec, replace(multi_rec, primitive=True)),
+    ]:
+        with pytest.raises(InvariantViolation) as err:
+            nonexistence_report(_doctored(rep, old, new))
+        assert err.value.witness == {
+            "connection": [format_element(e) for e in new.connection],
+            "intersection_array": new.array.to_dict(),
+        }

@@ -1,6 +1,7 @@
-"""The Gray-code screen against a brute-force reference, over block-aligned
-partitions of the id space, and report bytes across worker counts."""
+"""The Gray-code screen against a brute-force reference, over partitions of
+the walk into step ranges, and report bytes across worker counts."""
 
+from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -23,10 +24,37 @@ CANDIDATES = [(n,) for n in range(1, 33)] + [
 GROUPS = [m for m in CANDIDATES if len(inverse_pair_basis(make_group(m))) <= 13]
 
 
+# 0b...0101: an odd step whose Gray pattern t ^ (t >> 1) sets every low bit
+# but perhaps the top one, so a range starting there begins mid-walk
+ALTERNATING = 0x5555555555555555
+
+
+def _gray_rank(pattern):
+    """The step t with t ^ (t >> 1) == pattern."""
+    t = 0
+    while pattern:
+        t ^= pattern
+        pattern >>= 1
+    return t
+
+
+def step_ids(tab, lo, hi):
+    """The ids of Gray steps lo <= t < hi: every prefix with every t ^ (t >> 1)."""
+    L = classify._low_bits(tab.B)
+    t = np.arange(lo, hi, dtype=np.int64)
+    prefixes = np.arange(1 << (tab.B - L), dtype=np.int64)
+    return ((prefixes[:, None] << L) | (t ^ (t >> 1))).ravel()
+
+
 @lru_cache(maxsize=None)
-def reference_screen(moduli, lo=0, hi=None):
-    """(connected count, survivor ids) over the masks lo <= id < hi (every
-    mask by default), by brute force.
+def reference_screen(moduli):
+    """(connected count, survivor ids) over every mask, by brute force."""
+    B = len(inverse_pair_basis(make_group(moduli)))
+    return reference_screen_of(moduli, np.arange(1 << B))
+
+
+def reference_screen_of(moduli, ids):
+    """(connected count, survivor ids) over the masks in `ids`, by brute force.
 
     conv(S) is a direct convolution of the indicator on the group's
     coordinate grid, connectivity is the closure of {0} under adding S,
@@ -35,7 +63,6 @@ def reference_screen(moduli, lo=0, hi=None):
     group = make_group(moduli)
     basis = inverse_pair_basis(group)
     n, shape = group.order, tuple(moduli)
-    ids = np.arange(lo, (1 << len(basis)) if hi is None else hi)
     ind = np.zeros((len(ids), n), dtype=np.int64)
     for j, orb in enumerate(basis):
         ind[:, list(orb)] = (ids >> j & 1)[:, None]
@@ -79,42 +106,49 @@ def reference_screen(moduli, lo=0, hi=None):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_block_partitions_match_reference(data):
+    """The 2^L Gray steps cut into ranges at arbitrary boundaries, one of
+    them the odd step ALTERNATING mod 2^L: the ranges' connected counts add
+    up to the reference count, and their survivors are the reference
+    survivors, each once."""
     moduli = data.draw(st.sampled_from(GROUPS))
     tab = classify._tables(moduli)
     high = data.draw(st.integers(0, tab.B))
-    cuts = data.draw(st.lists(st.integers(0, 1 << high), max_size=4))
-    bounds = sorted({0, 1 << high, *cuts})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify, "HIGH_BITS", high)
-        L = classify._low_bits(tab.B)
-        ranges = [(lo << L, hi << L) for lo, hi in zip(bounds, bounds[1:])]
+        steps = 1 << classify._low_bits(tab.B)
+        cuts = data.draw(st.lists(st.integers(0, steps), max_size=4))
+        bounds = sorted({0, steps, ALTERNATING % steps, *cuts})
+        ranges = list(zip(bounds, bounds[1:]))
         parts = [classify._scan_range((moduli, lo, hi)) for lo, hi in ranges]
-        ids = set()
-        for lo, hi in ranges:
-            ids.update(classify._screen(tab, lo, hi)[1].tolist())
+        ids = [classify._screen(tab, lo, hi)[1].tolist() for lo, hi in ranges]
     connected, survivors = reference_screen(moduli)
     assert sum(p[0] for p in parts) == connected
-    assert ids == survivors
-    assert [sid for p in parts for sid, _ in p[1]] == sorted(survivors)
+    assert all(part == sorted(part) for part in ids)
+    assert sorted(sid for part in ids for sid in part) == sorted(survivors)
+    assert sorted(sid for p in parts for sid, _ in p[1]) == sorted(survivors)
 
 
 @settings(max_examples=1, deadline=None)
 @given(st.data())
 @pytest.mark.parametrize("moduli", [(15, 3), (7, 7)], ids=["z15x3-L10", "z7x7-L12"])
 def test_deep_walk_blocks_match_reference(moduli, data):
-    """Full blocks of 2^L ids at the default HIGH_BITS, L = B - 12, where
-    every low orbit is toggled on and off many times: a random block, and
-    the last one, whose sets contain every high orbit (G minus 0, the
-    complete graph, is among them and survives)."""
+    """Two-step ranges of the walk at the default HIGH_BITS, L = B - 12,
+    over all 2^12 columns, each starting mid-walk: at a random step; at an
+    odd step whose Gray pattern holds all low orbits but one; and at the
+    step whose pattern holds them all, so it begins by adding L orbits.
+    There the column holding every high orbit is G minus 0, the complete
+    graph, which survives."""
     tab = classify._tables(moduli)
     L = classify._low_bits(tab.B)
     assert L >= 10
-    last = (1 << (tab.B - L)) - 1
-    for prefix in sorted({data.draw(st.integers(0, last)), last}):
-        lo, hi = prefix << L, (prefix + 1) << L
-        connected, ids = classify._screen(tab, lo, hi)
-        assert (connected, frozenset(ids.tolist())) == reference_screen(moduli, lo, hi)
-    assert (1 << tab.B) - 1 in ids
+    full = _gray_rank((1 << L) - 1)
+    mid = full - 1
+    assert mid % 2 == 1 and bin(mid ^ mid >> 1).count("1") == L - 1
+    for lo in sorted({data.draw(st.integers(1, (1 << L) - 2)), mid, full}):
+        connected, ids = classify._screen(tab, lo, lo + 2)
+        want = reference_screen_of(moduli, step_ids(tab, lo, lo + 2))
+        assert (connected, frozenset(ids.tolist())) == want
+        assert ((1 << tab.B) - 1 in ids) == (lo in (mid, full))
 
 
 def test_int8_screen_refuses_a_group_above_its_order_bound():
@@ -122,7 +156,7 @@ def test_int8_screen_refuses_a_group_above_its_order_bound():
     # B = 64 orbit bits: a raised limit alone does not reach the screen
     with pytest.raises(SpecError):
         classify.classify_group(classify.SearchSpec(group, max_subsets=1 << 70))
-    # L = 0 and an empty id range keep the walk to one step of empty columns
+    # L = 0 and an empty step range: the order check comes before any table
     with pytest.MonkeyPatch.context() as mp, pytest.raises(classify.InvariantViolation) as err:
         mp.setattr(classify, "HIGH_BITS", 64)
         classify._screen(classify._tables((128,)), 0, 0)
@@ -172,10 +206,10 @@ def test_screen_keeps_every_distance_regular_set(data):
     tab = classify._tables(moduli)
     mask = data.draw(st.integers(0, (1 << tab.B) - 1))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "HIGH_BITS", data.draw(st.integers(max(tab.B - 13, 0), tab.B)))
+        mp.setattr(classify, "HIGH_BITS", data.draw(st.integers(0, min(tab.B, 13))))
         L = classify._low_bits(tab.B)
-        lo = mask >> L << L
-        survivors = classify._screen(tab, lo, lo + (1 << L))[1]
+        t = _gray_rank(mask & ((1 << L) - 1))
+        survivors = classify._screen(tab, t, t + 1)[1]
     try:
         drg = check_distance_regular(CayleyGraph(group, _set_of_mask(group, tab.basis, mask))).ok
     except NotConnectedError:
@@ -184,10 +218,12 @@ def test_screen_keeps_every_distance_regular_set(data):
         assert mask in survivors
 
 
-def test_unaligned_range_is_refused():
+@pytest.mark.parametrize("lo,hi", [(1, 1 << 22), (3, 2), (-1, 4)])
+def test_step_range_outside_the_walk_is_refused(lo, hi):
     tab = classify._tables((15, 3))
-    with pytest.raises(classify.InvariantViolation):
-        classify._screen(tab, 1, 1 << tab.B)
+    with pytest.raises(classify.InvariantViolation) as err:
+        classify._screen(tab, lo, hi)
+    assert err.value.witness == {"lo": lo, "hi": hi, "steps": 1 << 10}
 
 
 @pytest.mark.parametrize(
@@ -202,3 +238,36 @@ def test_report_bytes_do_not_depend_on_jobs(group, jobs, capsys):
         out.append(capsys.readouterr().out)
     assert out[0] == out[1]
 
+
+@pytest.mark.parametrize("moduli", [(6, 3), (9, 3), (12, 3)], ids=["z6x3", "z9x3", "z12x3"])
+def test_spawned_step_split_matches_in_process(moduli, monkeypatch):
+    """With the spawn threshold at 0, jobs 2 and 3 spawn workers for every
+    group with at least two Gray steps: Z_9 x Z_3 has 2 (L = 1) and
+    Z_12 x Z_3 has 64 (L = 6), which 3 workers split 21/21/22.  Z_6 x Z_3
+    has a single step, so it runs in process.  HIGH_BITS stays at its
+    default: spawned workers import the module afresh."""
+    pools = []
+
+    def counted(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    group = make_group(moduli)
+    want = classify.classify_group(classify.SearchSpec(group)).to_json()
+    monkeypatch.setattr(classify, "SPAWN_SUBSETS", 0)
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", counted)
+    steps = 1 << classify._low_bits(classify._tables(moduli).B)
+    for jobs in (2, 3):
+        assert classify.classify_group(classify.SearchSpec(group, workers=jobs)).to_json() == want
+    assert pools == ([] if steps == 1 else [2, min(3, steps)])
+
+
+def test_searches_below_the_spawn_threshold_run_in_process(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    group = make_group([15, 3])
+    assert 1 << classify._tables((15, 3)).B < classify.SPAWN_SUBSETS
+    want = classify.classify_group(classify.SearchSpec(group)).to_json()
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", refuse)
+    assert classify.classify_group(classify.SearchSpec(group, workers=2)).to_json() == want
