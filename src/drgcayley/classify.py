@@ -14,10 +14,9 @@ columns, conv(S) = conv(H) + 2 (H * Lo) + conv(Lo), so toggling low orbit
 o_j adds or subtracts D_j = 2 (o_j * H), built once per worker, and one
 column-independent vector: the update does no gathers.  Counts are at most
 |S| < |G| <= 127, so the walk runs exactly in int8, and conv is constant
-on S iff its max there is at most its min.  The coverage-ring test on the
-few columns left is exact in int64: values c on k rows are constant iff
-k * sum(c^2) == sum(c)^2 (the equality case of Cauchy-Schwarz).  The
-screen can only over-approximate the answer set, never drop a graph.
+on S iff its max there is at most its min; the few columns left take the
+same int8 test on their coverage ring.  The screen can only
+over-approximate the answer set, never drop a graph.
 
 The unit of parallel work is a range of Gray steps over every column: a
 range starting at step t first adds the low orbits of gray(t) =
@@ -39,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import get_context
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -208,17 +207,6 @@ def _orbit_delta(tab: _ScanTables, ind: np.ndarray, j: int) -> np.ndarray:
     return out
 
 
-def _constant(vals: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per column: are the int64 values in `vals`, zero off a set of k rows,
-    constant on those rows?  By Cauchy-Schwarz k * sum(c^2) >= sum(c)^2,
-    with equality exactly when they are.  The screen tests the coverage ring
-    this way, exactly, on the few columns whose S passed the walk's int8
-    max <= min test."""
-    s1 = vals.sum(axis=0)
-    s2 = np.einsum("ij,ij->j", vals, vals)
-    return k * s2 == s1 * s1
-
-
 def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
     """(connected count, sorted ids of connected candidates whose
     first-level counts are constant) over the Gray steps lo <= t < hi of
@@ -312,10 +300,14 @@ def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
         cols = np.flatnonzero(conn & (top <= bottom))
         if not len(cols):
             continue
-        c = conv[:, cols].astype(np.int64)
+        c = conv[:, cols]
         covered = ((ind[:, cols] | low_ind[:, None]) == 0) & (c > 0)
         covered[0] = False
-        keep = cols[_constant(np.where(covered, c, 0), covered.sum(axis=0))]
+        # the same max <= min test on the coverage ring; an empty ring
+        # (max 0, min INT8_ORDER) is vacuously constant
+        top = np.where(covered, c, 0).max(axis=0)
+        bottom = np.where(covered, c, INT8_ORDER).min(axis=0)
+        keep = cols[top <= bottom]
         found.append((prefixes[keep] << L) | low)
     ids = np.sort(np.concatenate(found)) if found else np.zeros(0, dtype=np.int64)
     return connected, ids
@@ -662,17 +654,9 @@ class NonexistenceReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def nonexistence_report(
-    source: Union[AbelianGroup, ClassificationReport],
-    workers: int = 1,
-    max_subsets: int = MAX_SUBSETS,
-) -> NonexistenceReport:
+def nonexistence_report(report: ClassificationReport) -> NonexistenceReport:
     """Check the classification output for sets the theory rules out;
     finding one is a contradiction, not a result, and trips the bug trap."""
-    if isinstance(source, ClassificationReport):
-        report = source
-    else:
-        report = classify_group(SearchSpec(source, workers=workers, max_subsets=max_subsets))
     group = report.group
     if len(group.moduli) != 2 or group.moduli[1] == 2 or not is_prime(group.moduli[1]) or group.moduli[0] % group.moduli[1]:
         raise SpecError("nonexistence assertions apply to Z_n + Z_p with p an odd prime dividing n")

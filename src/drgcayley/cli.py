@@ -248,9 +248,9 @@ def _cmd_krein(args) -> Payload:
     }
     payload.update(tensor.to_dict())
     rows = [f"Krein parameters, rank {tensor.rank}"]
-    for i, plane in enumerate(tensor.q):
+    for i, plane in enumerate(tensor.array):
         for j, row in enumerate(plane):
-            rows.append(f"q_{i}{j}^* = {list(row)}")
+            rows.append(f"q_{i}{j}^* = {row.tolist()}")
     return payload, "\n".join(rows), 0
 
 

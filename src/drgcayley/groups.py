@@ -5,9 +5,9 @@ tuples of residues.  Elements are enumerated lexicographically and hot
 paths work with the integer index of an element in that enumeration.
 
 A group's derived tables (elements, index tables, subgroup lattice,
-automorphisms) are memoised per moduli: groups compare and hash by their
-moduli, so equal groups share one copy.  Shared arrays are returned
-read-only.
+automorphisms and their canonical-form keys) are memoised per moduli:
+groups compare and hash by their moduli, so equal groups share one copy.
+Shared arrays are returned read-only.
 """
 
 from __future__ import annotations
@@ -131,20 +131,6 @@ class AbelianGroup:
         for x, n in zip(a.coords, self.moduli):
             o = _lcm(o, n // gcd(x, n))
         return o
-
-    # -- character pairing ---------------------------------------------------
-    def pairing_exponent(self, g: "GroupElement", x: "GroupElement") -> int:
-        """Exponent e with chi_g(x) = zeta_m^e, m the group exponent."""
-        self._check_member(g)
-        self._check_member(x)
-        m = self.exponent
-        return sum((m // n) * gc * xc for gc, xc, n in zip(g.coords, x.coords, self.moduli)) % m
-
-    def pairing_row(self, g: "GroupElement") -> np.ndarray:
-        """Vector of pairing exponents e(g, x) over all x in index order."""
-        m = self.exponent
-        weights = np.array([(m // n) * gc for gc, n in zip(g.coords, self.moduli)], dtype=np.int64)
-        return (self.coords_matrix() @ weights) % m
 
     # -- index tables (hot-path plumbing) -----------------------------------
     @ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -489,44 +475,46 @@ def automorphisms(group: AbelianGroup) -> np.ndarray:
 
 @ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _lex_keys(group: AbelianGroup) -> np.ndarray:
-    """(n, |Aut|) table for n <= 64: entry [i, a] is the bit n-1-a[i].
+    """(W, n, |Aut|) uint32 table, W = ceil(n / 32): entry [w, i, a] is
+    bit 31 - a[i] % 32 when a[i] // 32 == w, and 0 otherwise.
 
-    Summed over the elements of a set S, column a is the indicator word of
-    a(S): images of distinct elements are distinct bits, so the sum is the
-    bitwise OR, and the larger word is the lexicographically smaller set.
-    The words take 32 bits when n <= 32.
+    Summed over the elements of a set S, column a holds the W words of the
+    indicator of a(S), element 0 in the top bit of word 0: images of
+    distinct elements are distinct bits, so the sum is the bitwise OR.  All
+    images of S have |S| elements, and among sets of one size the
+    lexicographically larger word column is the lexicographically smaller
+    set.
     """
-    n = group.order
-    dtype = np.uint32 if n <= 32 else np.uint64
-    bits = dtype(1) << np.arange(n - 1, -1, -1, dtype=dtype)
-    return _frozen(np.ascontiguousarray(bits[automorphisms(group)].T))
-
-
-def _image_keys(group: AbelianGroup, indices: Iterable[int]) -> np.ndarray:
-    """One key per automorphism a; keys are equal iff the images a(S) are.
-
-    For n <= 64 the key is the indicator word of a(S) from `_lex_keys`;
-    otherwise it is the row a(S), sorted.
-    """
-    idx = np.array(sorted(set(indices)), dtype=np.intp)
-    if group.order <= 64:
-        return _lex_keys(group)[idx].sum(axis=0)
-    img = automorphisms(group)[:, idx]
-    img.sort(axis=1)
-    return img
+    aut = automorphisms(group)
+    bits = np.uint32(1) << np.arange(31, -1, -1, dtype=np.uint32)
+    # a C-ordered operand gives a C-ordered table, whose rows gather fast
+    bit = np.ascontiguousarray(bits[aut % 32].T)
+    words = np.arange(-(-group.order // 32))[:, None, None]
+    return _frozen(np.where(aut.T // 32 == words, bit, np.uint32(0)))
 
 
 def canonicalize_connection_set(group: AbelianGroup, indices: Iterable[int]) -> Tuple[int, ...]:
-    """Lexicographically least Aut(G)-image of an index set: the image with
-    the largest indicator word, or the least sorted image row."""
-    key = _image_keys(group, indices)
-    if key.ndim == 1:
-        word, n = int(key.max()), group.order
-        return tuple(i for i in range(n) if word >> (n - 1 - i) & 1)
-    best = key[np.lexsort(key.T[::-1])[0]] if key.shape[1] else ()
-    return tuple(int(i) for i in best)
+    """Lexicographically least Aut(G)-image of an index set: the image whose
+    indicator words are lexicographically largest.  Word w + 1 is summed
+    only over the automorphisms still tied on words 0..w."""
+    idx = np.array(sorted(set(indices)), dtype=np.intp)
+    tables = _lex_keys(group)
+    live = tables[0][idx].sum(axis=0, dtype=np.uint32)
+    best = [live.max()]
+    tied = None  # automorphism ids of the entries of live, once narrowed
+    for table in tables[1:]:
+        hit = live == best[-1]
+        tied = np.flatnonzero(hit) if tied is None else tied[hit]
+        live = table[np.ix_(idx, tied)].sum(axis=0, dtype=np.uint32)
+        best.append(live.max())
+    bits = np.unpackbits(np.array(best, dtype=">u4").view(np.uint8))
+    return tuple(np.flatnonzero(bits).tolist())
 
 
 def orbit_size(group: AbelianGroup, indices: Iterable[int]) -> int:
-    """|Aut(G)| / |Stab(S)|: the number of distinct Aut(G)-images of S."""
-    return len(np.unique(_image_keys(group, indices), axis=0))
+    """|Aut(G)| / |Stab(S)|: the number of distinct Aut(G)-images of S,
+    counted as distinct word columns once equal columns sit side by side."""
+    idx = np.array(sorted(set(indices)), dtype=np.intp)
+    words = _lex_keys(group)[:, idx].sum(axis=1, dtype=np.uint32)
+    words = words[:, np.lexsort(words)]
+    return 1 + int(np.count_nonzero((words[:, 1:] != words[:, :-1]).any(axis=0)))

@@ -23,8 +23,6 @@ from .errors import InvariantViolation, SpecError
 from .graphs import CayleyGraph, DRGCheck, check_distance_regular
 from .groups import AbelianGroup, GroupElement, generated_subgroup
 
-Tensor = Tuple[Tuple[Tuple[int, ...], ...], ...]
-
 DUAL_CACHE_SIZE = 64  # dual rings kept by dual_schur_ring
 RING_CACHE_SIZE = 8  # distance modules and Q-orderings kept; one graph's calls come back to back
 MAX_TENSOR_ENTRIES = 1 << 22  # r^3 structure constants of one ring
@@ -34,12 +32,9 @@ MAX_TENSOR_ENTRIES = 1 << 22  # r^3 structure constants of one ring
 class SchurRing:
     group: AbelianGroup
     classes: Tuple[Tuple[int, ...], ...]  # index tuples, classes[0] = {0}
-    tensor: Tensor  # tensor[i][j][k] = p_{ij}^k
-    array: Optional[np.ndarray] = field(default=None, compare=False, repr=False)  # tensor, read-only int64
+    array: np.ndarray = field(compare=False, repr=False)  # array[i, j, k] = p_{ij}^k, read-only int64
 
     def __post_init__(self):
-        if self.array is None:
-            object.__setattr__(self, "array", np.array(self.tensor, dtype=np.int64))
         self.array.flags.writeable = False
 
     @property
@@ -78,7 +73,7 @@ class SchurRing:
         return {
             "group": str(self.group),
             "classes": [list(c) for c in self.classes],
-            "p": [[[int(x) for x in row] for row in plane] for plane in self.tensor],
+            "p": self.array.tolist(),
         }
 
 
@@ -158,8 +153,7 @@ def verify_schur_ring(group: AbelianGroup, partition: Sequence[Sequence[int]]) -
         return SchurCheck(
             False, None, {"i": i, "j": j, "k": k, "min": int(lo[i, j, k]), "max": int(hi[i, j, k])}
         )
-    tensor = tuple(tuple(tuple(row) for row in plane) for plane in hi.tolist())
-    return SchurCheck(True, SchurRing(group, tuple(classes), tensor, hi))
+    return SchurCheck(True, SchurRing(group, tuple(classes), hi))
 
 
 def distance_module(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> SchurRing:
@@ -212,16 +206,16 @@ def _dual_ring(group: AbelianGroup, classes: Tuple[Tuple[int, ...], ...]) -> Sch
     return res.ring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KreinTensor:
-    q: Tensor
+    array: np.ndarray  # array[i, j, k] = q_{ij}^k, read-only int64
 
     @property
     def rank(self) -> int:
-        return len(self.q)
+        return len(self.array)
 
     def to_dict(self) -> dict:
-        return {"q": [[[int(x) for x in row] for row in plane] for plane in self.q]}
+        return {"q": self.array.tolist()}
 
 
 def krein_parameters(ring: SchurRing) -> KreinTensor:
@@ -231,7 +225,7 @@ def krein_parameters(ring: SchurRing) -> KreinTensor:
         raise SpecError("Krein parameters require a symmetric Schur ring")
     dual = dual_schur_ring(ring)
     _assert_krein_conditions(dual)
-    return KreinTensor(dual.tensor)
+    return KreinTensor(dual.array)
 
 
 def _assert_krein_conditions(dual: SchurRing) -> None:

@@ -146,7 +146,7 @@ def test_line_graph_parameters_and_spectra():
 def test_krein_parameters_are_nonnegative_integers(corpus):
     assert len(corpus) == 149
     for _, _, ring in corpus:
-        q = krein_parameters(ring).q
+        q = krein_parameters(ring).array
         assert len(q) == ring.rank
         for plane in q:
             for row in plane:
@@ -161,7 +161,7 @@ def test_duality_involution_and_dual_graphs(corpus):
         assert bidual.partition_key() == ring.partition_key()
         if ring.d == 0:
             continue
-        q = krein_parameters(ring).q
+        q = krein_parameters(ring).array
         for tau in q_polynomial_orderings(ring):
             dg = dual_graph(graph, tau, chk)
             dchk = check_distance_regular(dg)
@@ -171,7 +171,7 @@ def test_duality_involution_and_dual_graphs(corpus):
             for i in rng:
                 for j in rng:
                     for k in rng:
-                        assert dring.tensor[i][j][k] == q[tau[i]][tau[j]][tau[k]]
+                        assert dring.array[i, j, k] == q[tau[i], tau[j], tau[k]]
             checked += 1
     assert checked >= sum(1 for _, _, ring in corpus if ring.d >= 1)
 

@@ -126,8 +126,10 @@ def _plain_canonical(group, indices):
     return min(tuple(sorted(int(p[i]) for i in indices)) for p in automorphisms(group))
 
 
-SMALL = [make_group(m) for m in ([3, 3, 3], [2, 2, 2, 2], [15, 3])]  # n <= 64: bit keys
-LARGE = [make_group([9, 9])]  # n > 64: lexsort of row-sorted images
+# Keys are ceil(n / 32) words; the groups sit on both sides of each word
+# boundary, and LARGE holds frontier shapes of three or more words.
+SMALL = [make_group(m) for m in ([3, 3, 3], [2, 2, 2, 2], [15, 3], [8, 4], [11, 3], [8, 8])]
+LARGE = [make_group(m) for m in ([9, 9], [13, 5], [27, 3])]
 
 
 def _index_sets(groups):
@@ -136,21 +138,21 @@ def _index_sets(groups):
     )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(_index_sets(SMALL))
 def test_canonical_form_matches_plain_lex_min_small(case):
     g, s = case
     assert canonicalize_connection_set(g, s) == _plain_canonical(g, s)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=24, deadline=None)
 @given(_index_sets(LARGE))
 def test_canonical_form_matches_plain_lex_min_large(case):
     g, s = case
     assert canonicalize_connection_set(g, s) == _plain_canonical(g, s)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(_index_sets(SMALL + LARGE))
 def test_orbit_size_counts_distinct_images(case):
     g, s = case

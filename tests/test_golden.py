@@ -4,6 +4,12 @@ tests/golden/classify_digests.json maps a group's moduli to the SHA-256
 of ``classify_group(SearchSpec(make_group(moduli))).to_json()`` as the
 per-automorphism reference implementation produced it.  Any change that
 alters a report's bytes shows here.
+
+tests/golden/cli_digests.json maps "<command> <graph> <format>" to the
+SHA-256 of the stdout of `drgcayley --format <format> <command>` for the
+schur, krein and dual commands on three graphs, as recorded before the
+Schur and Krein structure constants were kept as arrays only.  CI checks
+the text krein and dual digests through the console script as well.
 """
 
 import hashlib
@@ -18,12 +24,26 @@ from drgcayley.classify import SearchSpec, classify_group
 from drgcayley.groups import make_group
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "classify_digests.json").read_text())
+CLI_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_digests.json").read_text())
+CLI_GRAPHS = {
+    "paley-z13": ("13", "1;3;4;9;10;12"),
+    "cube-z2x2x2x2": ("2,2,2,2", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"),
+    "crown-z6x3": ("6,3", "crown:a=3,0"),
+}
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_report_matches_golden_digest(key):
     report = classify_group(SearchSpec(make_group([int(m) for m in key.split(",")])))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(CLI_GOLDEN))
+def test_cli_output_matches_golden_digest(key, capsys):
+    command, graph, fmt = key.split()
+    group, connection = CLI_GRAPHS[graph]
+    assert run(["--format", fmt, command, "--group", group, "--set", connection]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_GOLDEN[key]
 
 
 def test_class_size_witness_reaches_cli_json(monkeypatch, capsys):

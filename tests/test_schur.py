@@ -63,7 +63,7 @@ def test_verify_trivial_ring():
     g = make_group([5])
     res = verify_schur_ring(g, trivial_partition(g))
     assert res.ok and res.ring.rank == 2
-    assert res.ring.tensor[1][1] == (4, 3)  # (G\0)^2 = 4e + 3(G\0)
+    assert res.ring.array[1, 1].tolist() == [4, 3]  # (G\0)^2 = 4e + 3(G\0)
 
 
 def test_verify_rejects_non_inverse_closed():
@@ -92,7 +92,7 @@ def test_distance_module_srg():
     assert ring.is_primitive
     assert ring.is_symmetric
     # p_{11}^k encodes the intersection array: k=4, lambda=1, mu=2
-    assert ring.tensor[1][1] == (4, 1, 2)
+    assert ring.array[1, 1].tolist() == [4, 1, 2]
 
 
 def test_distance_module_c6_imprimitive():
@@ -148,20 +148,20 @@ def test_bidual_partition_equality():
 def test_krein_trivial_ring_z9():
     g = make_group([9])
     ring = verify_schur_ring(g, trivial_partition(g)).ring
-    q = krein_parameters(ring).q
+    q = krein_parameters(ring).array
     assert q[1][1][1] == 7  # |G| - 2
 
 
 def test_krein_nonnegative_integer_everywhere():
     for gr in (srg942(), crown_graph_z6z3(), cycle_graph(6), hypercube4(), taylor_cover_z2_5()):
-        q = krein_parameters(distance_module(gr)).q
+        q = krein_parameters(distance_module(gr)).array
         assert all(x >= 0 for plane in q for row in plane for x in row)
 
 
 def test_krein_matches_eigenmatrix_route():
     for gr in (complete_graph([3, 3]), srg942(), cycle_graph(6), crown_graph_z6z3(), hypercube4()):
         ring = distance_module(gr)
-        q = krein_parameters(ring).q
+        q = krein_parameters(ring).array
         q2 = krein_via_eigenmatrix(ring)
         r = ring.rank
         for i, j, k in it.product(range(r), repeat=3):
@@ -207,8 +207,8 @@ def test_bipartite_iff_q_antipodal():
     ]
     for gr, bip in cases:
         ring = distance_module(gr)
-        assert tensor_parity_vanishing(ring.tensor) == bip
-        q = krein_parameters(ring).q
+        assert tensor_parity_vanishing(ring.array) == bip
+        q = krein_parameters(ring).array
         relabeled = []
         for tau in q_polynomial_orderings(ring):
             rl = tuple(
@@ -228,8 +228,8 @@ def test_antipodal_iff_q_bipartite():
     ]
     for gr, anti in cases:
         ring = distance_module(gr)
-        assert tensor_top_vanishing(ring.tensor) == anti
-        q = krein_parameters(ring).q
+        assert tensor_top_vanishing(ring.array) == anti
+        q = krein_parameters(ring).array
         relabeled = []
         for tau in q_polynomial_orderings(ring):
             rl = tuple(
@@ -316,8 +316,7 @@ def reference_verify_schur_ring(group: AbelianGroup, partition: Sequence[Sequenc
                         False, None, {"i": i, "j": j, "k": k, "min": lo, "max": hi}
                     )
                 tensor[i][j][k] = hi
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
-    return SchurCheck(True, SchurRing(group, tuple(classes), frozen))
+    return SchurCheck(True, SchurRing(group, tuple(classes), np.array(tensor, dtype=np.int64)))
 
 
 def reference_character_class_vector(
@@ -326,7 +325,10 @@ def reference_character_class_vector(
     """Exact key: coefficients of chi_g(N_i) for every class i."""
     m = group.exponent
     g = group.elements()[gi]
-    row = group.pairing_row(g)
+    # e(g, x) = sum_i (m / n_i) g_i x_i mod m, written out here rather than
+    # read from the character table that character_values uses
+    weights = np.array([(m // n) * gc for gc, n in zip(g.coords, group.moduli)], dtype=np.int64)
+    row = (group.coords_matrix() @ weights) % m
     key = []
     for cls in classes:
         counts = np.bincount(row[list(cls)], minlength=m)
@@ -382,6 +384,8 @@ def _same_check(got: SchurCheck, want: SchurCheck) -> None:
     assert got.witness == want.witness
     if want.ok:
         assert got.ring == want.ring
+        assert got.ring.array.dtype == np.int64
+        assert got.ring.array.tolist() == want.ring.array.tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -508,14 +512,13 @@ def reference_negative_krein_witness(q) -> Optional[dict]:
 def test_negative_krein_parameter_reports_the_first_witness(monkeypatch, cells):
     ring = distance_module(srg942())
     dual = dual_schur_ring(ring)
-    q = np.array(dual.tensor)
+    q = dual.array.copy()
     for value, cell in enumerate(cells, start=-len(cells)):
         q[cell] = value
-    tensor = tuple(tuple(tuple(row) for row in plane) for plane in q.tolist())
-    monkeypatch.setattr(schur, "dual_schur_ring", lambda _ring: SchurRing(dual.group, dual.classes, tensor))
+    monkeypatch.setattr(schur, "dual_schur_ring", lambda _ring: SchurRing(dual.group, dual.classes, q))
     with pytest.raises(InvariantViolation) as err:
         krein_parameters(ring)
-    assert err.value.witness == reference_negative_krein_witness(tensor)
+    assert err.value.witness == reference_negative_krein_witness(q.tolist())
 
 
 def _reference_is_symmetric(ring: SchurRing) -> bool:
