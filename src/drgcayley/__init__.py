@@ -39,7 +39,6 @@ from .constructions import (
     crown,
     expected_catalog,
     expected_circulant_catalog,
-    hamming2,
     order_p_subgroups,
     paley,
     td_line_graph,
@@ -54,7 +53,6 @@ from .classify import (
     ClassificationReport,
     SearchSpec,
     classify_group,
-    enumerate_connection_sets,
     nonexistence_report,
     verify_circulant_theorem,
     verify_main_theorem,
@@ -86,12 +84,10 @@ __all__ = [
     "distance_partition",
     "dual_graph",
     "dual_schur_ring",
-    "enumerate_connection_sets",
     "expected_catalog",
     "expected_circulant_catalog",
     "export_graph6",
     "generated_subgroup",
-    "hamming2",
     "imprimitivity",
     "is_polynomial_addition_set",
     "is_relative_difference_set",

@@ -4,13 +4,14 @@ An algebra element is an integer coefficient vector indexed by group
 elements in index order; multiplication is convolution over the group.
 The character chi_g(x) = zeta_m^{e(g,x)}, m the group exponent, is held
 as its exponent table e, and character sums over sets come back as
-exact cyclotomic coordinates.
+exact cyclotomic coordinates; `distinct_rows` groups characters whose
+values agree.
 """
 
 from __future__ import annotations
 
 import functools as ft
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -149,3 +150,21 @@ def character_values(group: AbelianGroup, classes: Sequence[Sequence[int]]) -> n
         vals = reduce_root_counts(counts, m)
         blocks.append(vals.reshape(k, r, phi))
     return np.concatenate(blocks)
+
+
+def distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(keys, label): the distinct rows in order of first occurrence, and
+    for each row the index of its key."""
+    if rows.dtype == object:  # Python integers have no fixed-width bytes to compare
+        index: Dict[Tuple[int, ...], int] = {}
+        label = [index.setdefault(tuple(row), len(index)) for row in rows.tolist()]
+        return np.array(list(index), dtype=object).reshape(len(index), -1), np.array(label, dtype=np.intp)
+    rows = np.ascontiguousarray(rows)
+    # each row as one opaque item: np.unique(axis=0) compares a row field by
+    # field, about 10x slower on the dual ring's wide rows
+    items = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, label = np.unique(items, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rows[first[order]], rank[label.reshape(-1)]

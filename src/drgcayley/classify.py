@@ -33,12 +33,13 @@ therefore byte-identical for any worker count.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import get_context
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -91,29 +92,8 @@ def inverse_pair_basis(group: AbelianGroup) -> Tuple[Tuple[int, ...], ...]:
     return tuple(orbits)
 
 
-def connection_set_count(group: AbelianGroup) -> int:
-    return 1 << len(inverse_pair_basis(group))
-
-
 def _mask_indices(basis, mask: int) -> List[int]:
     return [i for j in range(len(basis)) if mask >> j & 1 for i in basis[j]]
-
-
-def _set_of_mask(group: AbelianGroup, basis, mask: int) -> frozenset:
-    return frozenset(group.from_index(i) for i in _mask_indices(basis, mask))
-
-
-def enumerate_connection_sets(group: AbelianGroup, limit: int = MAX_SUBSETS) -> Iterator[frozenset]:
-    """All inverse-closed subsets of G\\{0}, one frozenset per bitmask,
-    in increasing mask order."""
-    basis = inverse_pair_basis(group)
-    total = 1 << len(basis)
-    if total > limit:
-        raise SpecError(
-            f"{total} connection sets over {group} exceed the limit {limit}; raise it explicitly"
-        )
-    for mask in range(total):
-        yield _set_of_mask(group, basis, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +405,6 @@ class ClassificationReport:
             ("anomalies", str(len(self.anomalies))),
         ]
 
-    def summary_text(self) -> str:
-        return aligned_rows(self.summary_rows() + [("wall time", f"{self.elapsed:.2f}s")])
-
 
 def aligned_rows(rows: Sequence[Tuple[str, str]]) -> str:
     """One "label  value" line per row, labels padded to a common width."""
@@ -444,13 +421,20 @@ def _formatted(conn) -> List[str]:
     return [format_element(e) for e in sorted(conn)]
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # Linux: the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def classify_group(spec: SearchSpec) -> ClassificationReport:
     """Scan every inverse-closed subset of G\\{0} and report the
     distance-regular ones, grouped by Aut(G)-class.
 
     With `spec.workers` > 1 and at least `SPAWN_SUBSETS` subsets, spawned
-    workers walk equal ranges of the Gray steps; smaller searches run in
-    process.  The report is the same either way."""
+    workers, at most one per usable CPU, walk equal ranges of the Gray
+    steps; smaller searches run in process.  The report is the same either
+    way."""
     import time
 
     if spec.workers < 1:
@@ -466,9 +450,11 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
     if len(basis) > 63:
         raise SpecError(f"subset ids are int64: {group} has {len(basis)} > 63 orbit bits")
     t0 = time.perf_counter()
-    # workers take equal ranges of the 2^L Gray steps, each over every column
+    # workers take equal ranges of the 2^L Gray steps, each over every column;
+    # a spawn pool starts one interpreter per range submitted, so the count is
+    # capped at the CPUs this process may use
     steps = 1 << _low_bits(len(basis))
-    workers = min(spec.workers, steps) if total >= SPAWN_SUBSETS else 1
+    workers = min(spec.workers, steps, _usable_cpus()) if total >= SPAWN_SUBSETS else 1
     bounds = [steps * w // workers for w in range(workers + 1)]
     jobs = [(group.moduli, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:

@@ -378,9 +378,9 @@ def _cmd_verify_theorem(args) -> Payload:
 
 def _cmd_verify_circulant(args) -> Payload:
     group = parse_group(args.group)
-    if len(group.moduli) != 1:
+    if len(group.moduli) > 1:
         raise SpecError("verify-circulant takes a single modulus, e.g. --group 13")
-    diff = verify_circulant_theorem(group.moduli[0], **_search_kwargs(args))
+    diff = verify_circulant_theorem(group.order, **_search_kwargs(args))
     payload = {"command": "verify-circulant", "inputs": _search_inputs(args)}
     payload.update(diff.to_dict())
     sys.stderr.write(f"wall time {diff.report.elapsed:.2f}s\n")
@@ -400,12 +400,19 @@ def _diff_text(diff) -> str:
 
 
 def _cmd_recheck(args) -> Payload:
-    if args.input == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.input) as fh:
-            data = json.load(fh)
-    if not isinstance(data, dict) or "command" not in data or "inputs" not in data:
+    try:
+        if args.input == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.input) as fh:
+                data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SpecError(f"cannot read a JSON report from {args.input}: {exc}") from exc
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("command"), str)
+        and isinstance(data.get("inputs"), dict)
+    ):
         raise SpecError("recheck needs a JSON report produced by this tool")
     argv = list(data["command"].split())
     inputs = data["inputs"]

@@ -7,7 +7,7 @@ find over a given group, labelled the same way the classifier labels them.
 """
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .errors import SpecError
 from .graphs import (
@@ -56,10 +56,6 @@ def srg_array(k: int, lam: int, mu: int) -> IntersectionArray:
     return IntersectionArray((k, k - lam - 1), (1, mu))
 
 
-def _labelled(graph: CayleyGraph) -> FamilyLabel:
-    return detect_family(graph)
-
-
 def complete_graph(group: AbelianGroup) -> Construction:
     n = group.order
     s = [e for e in group.elements() if not e.is_zero]
@@ -75,7 +71,7 @@ def complete_multipartite(group: AbelianGroup, part: Subgroup) -> Construction:
     t, m = n // part.order, part.order
     s = [e for e in group.elements() if e not in part.element_set()]
     graph = CayleyGraph(group, s)
-    return Construction(graph, srg_array((t - 1) * m, (t - 2) * m, (t - 1) * m), _labelled(graph))
+    return Construction(graph, srg_array((t - 1) * m, (t - 2) * m, (t - 1) * m), detect_family(graph))
 
 
 def crown(group: AbelianGroup, half: Subgroup, a: GroupElement) -> Construction:
@@ -91,7 +87,7 @@ def crown(group: AbelianGroup, half: Subgroup, a: GroupElement) -> Construction:
     k = n // 2 - 1
     s = [e for e in group.elements() if e not in half.element_set() and e != a]
     graph = CayleyGraph(group, s)
-    return Construction(graph, IntersectionArray((k, k - 1, 1), (1, k - 1, k)), _labelled(graph))
+    return Construction(graph, IntersectionArray((k, k - 1, 1), (1, k - 1, k)), detect_family(graph))
 
 
 def cycle(n: int) -> Construction:
@@ -106,7 +102,7 @@ def cycle(n: int) -> Construction:
         arr = IntersectionArray((2,) + (1,) * (d - 1), (1,) * (d - 1) + (2,))
     else:
         arr = IntersectionArray((2,) + (1,) * (d - 1), (1,) * d)
-    return Construction(graph, arr, _labelled(graph))
+    return Construction(graph, arr, detect_family(graph))
 
 
 def order_p_subgroups(p: int) -> List[Subgroup]:
@@ -115,88 +111,25 @@ def order_p_subgroups(p: int) -> List[Subgroup]:
     return subgroups_of_order(group, p)
 
 
-def _check_line_subgroups(p: int, subgroups: Sequence[Subgroup], max_r: int) -> AbelianGroup:
+def td_line_graph(p: int, subgroups: Sequence[Subgroup]) -> Construction:
     if p == 2 or not is_prime(p):
         raise SpecError("order must be an odd prime")
     r = len(subgroups)
-    if not 2 <= r <= max_r:
-        raise SpecError(f"need between 2 and {max_r} subgroups, got {r}")
+    if not 2 <= r <= p + 1:
+        raise SpecError(f"need between 2 and {p + 1} subgroups, got {r}")
     if len({h.elements for h in subgroups}) != r:
         raise SpecError("subgroups must be pairwise distinct")
     for h in subgroups:
         if h.group.moduli != (p, p) or h.order != p:
             raise SpecError("every part must be an order-p subgroup of Z_p + Z_p")
-    return subgroups[0].group
-
-
-def td_line_graph(p: int, subgroups: Sequence[Subgroup]) -> Construction:
-    group = _check_line_subgroups(p, subgroups, p + 1)
-    r = len(subgroups)
+    group = subgroups[0].group
     s = sorted({e for h in subgroups for e in h.elements if not e.is_zero})
     graph = CayleyGraph(group, s)
     if r == p + 1:
         arr = IntersectionArray((p * p - 1,), (1,))
     else:
         arr = srg_array(r * (p - 1), p + r * r - 3 * r, r * r - r)
-    return Construction(graph, arr, _labelled(graph))
-
-
-@dataclass(frozen=True)
-class TransversalDesign:
-    r: int
-    v: int
-    points: Tuple[Tuple[int, int], ...]
-    groups: Tuple[Tuple[Tuple[int, int], ...], ...]
-    lines: Tuple[Tuple[Tuple[int, int], ...], ...]
-
-    def line_graph_edges(self) -> frozenset:
-        """Edges between line indices sharing a point."""
-        edges = set()
-        for i in range(len(self.lines)):
-            for j in range(i + 1, len(self.lines)):
-                if set(self.lines[i]) & set(self.lines[j]):
-                    edges.add(frozenset((i, j)))
-        return frozenset(edges)
-
-
-def td_from_subgroups(p: int, subgroups: Sequence[Subgroup]) -> TransversalDesign:
-    """Points are (class, coset) pairs; line g joins the cosets g+H_i."""
-    from .errors import InvariantViolation
-
-    group = _check_line_subgroups(p, subgroups, p)
-    r, v = len(subgroups), p
-
-    def coset_rep(i: int, g: GroupElement) -> int:
-        return min((g + h).index for h in subgroups[i].elements)
-
-    points: List[Tuple[int, int]] = []
-    classes: List[Tuple[Tuple[int, int], ...]] = []
-    for i in range(r):
-        reps = sorted({coset_rep(i, g) for g in group.elements()})
-        cls = tuple((i, rep) for rep in reps)
-        classes.append(cls)
-        points.extend(cls)
-    lines = tuple(
-        tuple((i, coset_rep(i, g)) for i in range(r)) for g in group.elements()
-    )
-    td = TransversalDesign(r, v, tuple(points), tuple(classes), lines)
-
-    if len(td.points) != r * v or any(len(c) != v for c in td.groups):
-        raise InvariantViolation("transversal design point count broken")
-    if len(td.lines) != v * v or any(len(set(l)) != r for l in td.lines):
-        raise InvariantViolation("transversal design line shape broken")
-    on_lines: dict = {pt: set() for pt in td.points}
-    for idx, line in enumerate(td.lines):
-        for pt in line:
-            on_lines[pt].add(idx)
-    for a in range(len(td.points)):
-        for b in range(a + 1, len(td.points)):
-            pa, pb = td.points[a], td.points[b]
-            common = len(on_lines[pa] & on_lines[pb])
-            expect = 0 if pa[0] == pb[0] else 1
-            if common != expect:
-                raise InvariantViolation(f"points {pa},{pb} lie on {common} common lines")
-    return td
+    return Construction(graph, arr, detect_family(graph))
 
 
 def paley(q: int) -> Construction:
@@ -205,16 +138,7 @@ def paley(q: int) -> Construction:
     group = make_group([q])
     s = sorted({group.element([pow(x, 2, q)]) for x in range(1, q)})
     graph = CayleyGraph(group, s)
-    return Construction(graph, srg_array((q - 1) // 2, (q - 5) // 4, (q - 1) // 4), _labelled(graph))
-
-
-def hamming2(q: int) -> Construction:
-    if q < 2:
-        raise SpecError("Hamming graph needs q >= 2")
-    group = make_group([q, q])
-    s = [group.element([a, 0]) for a in range(1, q)] + [group.element([0, a]) for a in range(1, q)]
-    graph = CayleyGraph(group, s)
-    return Construction(graph, srg_array(2 * (q - 1), q - 2, 2), _labelled(graph))
+    return Construction(graph, srg_array((q - 1) // 2, (q - 5) // 4, (q - 1) // 4), detect_family(graph))
 
 
 # ---------------------------------------------------------------------------

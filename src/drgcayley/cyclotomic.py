@@ -2,17 +2,16 @@
 
 Elements are stored as integer coordinate vectors in the power basis
 {1, x, ..., x^{phi(m)-1}} of Z[x]/(Phi_m), with zeta_m the primitive
-m-th root of unity e^{2*pi*i/m}.  Mixed conductors are combined by
-lifting to the lcm; equality and hashing descend to the unique minimal
-conductor so that equal values collide regardless of representation.
+m-th root of unity e^{2*pi*i/m}.  Mixed conductors are combined, and
+compared for equality, by lifting to the lcm.  Values are not hashable:
+one value has coordinates at every multiple of its conductor.
 """
 
 from __future__ import annotations
 
 import functools as ft
-from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -285,7 +284,7 @@ class CyclotomicInteger:
             n >>= 1
         return out
 
-    # -- comparison and hashing ---------------------------------------------
+    # -- comparison -----------------------------------------------------------
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             return self.is_rational_integer and self.coeffs[0] == other
@@ -293,23 +292,6 @@ class CyclotomicInteger:
             return NotImplemented
         a, b = self._pair(other)
         return a.coeffs == b.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("CyclotomicInteger",) + self.minimal_form())
-
-    def minimal_form(self) -> Tuple[int, Tuple[int, ...]]:
-        """(m0, coeffs) at the smallest conductor m0 containing the value;
-        canonical, so usable as a dictionary key across representations."""
-        m = self.conductor
-        if self.is_rational_integer:
-            return (1, (self.coeffs[0],))
-        for d in divisors(m):
-            if d == 1 or d == m:
-                continue
-            sol = _express_in_subfield(self, d)
-            if sol is not None:
-                return (d, sol)
-        return (m, self.coeffs)
 
     def __repr__(self) -> str:
         if self.is_rational_integer:
@@ -337,43 +319,3 @@ def _coerce(value) -> CyclotomicInteger:
 
 def zeta(m: int, e: int = 1) -> CyclotomicInteger:
     return CyclotomicInteger.from_root_power(m, e)
-
-
-def _express_in_subfield(value: CyclotomicInteger, d: int) -> Optional[Tuple[int, ...]]:
-    """Coordinates of the value in the power basis of Z[zeta_d], or None
-    if it does not lie in Q(zeta_d).  Exact Fraction elimination."""
-    m = value.conductor
-    phi_m = euler_phi(m)
-    phi_d = euler_phi(d)
-    step = m // d
-    cols = []
-    for j in range(phi_d):
-        cols.append(CyclotomicInteger.from_root_power(m, j * step).coeffs)
-    # solve sum_j b_j cols[j] = value.coeffs over Q
-    rows = [[Fraction(cols[j][i]) for j in range(phi_d)] + [Fraction(value.coeffs[i])] for i in range(phi_m)]
-    pivots: List[int] = []
-    r = 0
-    for c in range(phi_d):
-        pr = next((i for i in range(r, phi_m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(phi_m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, phi_m):
-        if rows[i][phi_d] != 0:
-            return None
-    if len(pivots) != phi_d:
-        raise InvariantViolation("power basis of a subfield must be independent")
-    sol = [Fraction(0)] * phi_d
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][phi_d]
-    if any(b.denominator != 1 for b in sol):
-        raise InvariantViolation("algebraic integer has non-integral subfield coordinates")
-    return tuple(int(b) for b in sol)

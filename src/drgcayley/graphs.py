@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import character_values
+from .algebra import character_values, distinct_rows
 from .cyclotomic import CyclotomicInteger, exact_dtype, reduce_root_counts
 from .errors import InvariantViolation, NotConnectedError, PrecisionError, SpecError
 from .groups import (
@@ -346,7 +346,7 @@ def spectrum(graph: CayleyGraph, dps: int = 40) -> Eigensystem:
 
 def _spectrum(group: AbelianGroup, connection: Tuple[int, ...], dps: int) -> Eigensystem:
     m = group.exponent
-    keys, label = _distinct_rows(character_values(group, [connection])[:, 0])
+    keys, label = distinct_rows(character_values(group, [connection])[:, 0])
     counts = np.bincount(label, minlength=len(keys))
     # a real value is fixed by complex conjugation, zeta^i -> zeta^-i
     conjugate = np.zeros((len(keys), m), dtype=keys.dtype)
@@ -366,20 +366,6 @@ def _spectrum(group: AbelianGroup, connection: Tuple[int, ...], dps: int) -> Eig
     members = np.split(np.argsort(label, kind="stable"), np.cumsum(counts)[:-1])
     levels = tuple(tuple(members[u].tolist()) for u in order)
     return Eigensystem(group, values, tuple(numerics), mults, levels)
-
-
-def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(keys, label): the distinct rows in order of first occurrence, and
-    for each row the index of its key."""
-    if rows.dtype == object:  # np.unique cannot compare object rows
-        index: Dict[Tuple[int, ...], int] = {}
-        label = [index.setdefault(tuple(row), len(index)) for row in rows.tolist()]
-        return np.array(list(index), dtype=object).reshape(len(index), -1), np.array(label, dtype=np.intp)
-    keys, first, label = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return keys[order], rank[label.reshape(-1)]
 
 
 def _numeric_order(m: int, rows: List[List[int]], dps: int) -> Tuple[List[int], List[float]]:
@@ -551,33 +537,3 @@ def _graph6_size(n: int) -> str:
     if n <= 258047:
         return "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
     raise SpecError("graph too large for graph6")
-
-
-def decode_graph6(text: str) -> np.ndarray:
-    """Independent decoder used to certify the encoder by roundtrip."""
-    if text.startswith("~~"):
-        raise SpecError("graph6 sizes above 258047 unsupported")
-    if text.startswith("~"):
-        n = 0
-        for ch in text[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        body = text[4:]
-    else:
-        n = ord(text[0]) - 63
-        body = text[1:]
-    need = n * (n - 1) // 2
-    bits: List[int] = []
-    for ch in body:
-        v = ord(ch) - 63
-        if not 0 <= v < 64:
-            raise SpecError("invalid graph6 character")
-        bits.extend((v >> (5 - i)) & 1 for i in range(6))
-    if len(bits) < need:
-        raise SpecError("graph6 body too short")
-    A = np.zeros((n, n), dtype=np.int8)
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            A[i, j] = A[j, i] = bits[pos]
-            pos += 1
-    return A

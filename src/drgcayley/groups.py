@@ -407,18 +407,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def atoms(group: AbelianGroup) -> Tuple[Tuple[GroupElement, ...], ...]:
-    """Atoms of the Boolean algebra of subsets closed under generated-subgroup
-    equality: [g] = {x : <x> = <g>}, ordered by smallest member."""
-    bucket: Dict[FrozenSet[GroupElement], List[GroupElement]] = {}
-    for g in group.elements():
-        key = generated_subgroup(group, [g]).element_set()
-        bucket.setdefault(key, []).append(g)
-    parts = [tuple(sorted(v, key=lambda e: e.coords)) for v in bucket.values()]
-    parts.sort(key=lambda part: part[0].coords)
-    return tuple(parts)
-
-
 # ---------------------------------------------------------------------------
 # automorphisms
 

@@ -14,11 +14,11 @@ import functools as ft
 import itertools as it
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import character_values
+from .algebra import character_values, distinct_rows
 from .errors import InvariantViolation, SpecError
 from .graphs import CayleyGraph, DRGCheck, check_distance_regular
 from .groups import AbelianGroup, GroupElement, generated_subgroup
@@ -184,17 +184,18 @@ def dual_schur_ring(ring: SchurRing) -> SchurRing:
 
 @ft.lru_cache(maxsize=DUAL_CACHE_SIZE)
 def _dual_ring(group: AbelianGroup, classes: Tuple[Tuple[int, ...], ...]) -> SchurRing:
-    buckets: Dict[Tuple[int, ...], List[int]] = {}
-    for gi, key in enumerate(character_values(group, classes).reshape(group.order, -1).tolist()):
-        buckets.setdefault(tuple(key), []).append(gi)
-    if len(buckets) != len(classes):
+    keys, label = distinct_rows(character_values(group, classes).reshape(group.order, -1))
+    if len(keys) != len(classes):
         raise InvariantViolation(
-            f"dual rank {len(buckets)} differs from primal rank {len(classes)}",
-            witness={"rank": len(classes), "dual_rank": len(buckets)},
+            f"dual rank {len(keys)} differs from primal rank {len(classes)}",
+            witness={"rank": len(classes), "dual_rank": len(keys)},
         )
     zero = group.index(group.zero)
+    members: List[List[int]] = [[] for _ in keys]
+    for gi, u in enumerate(label.tolist()):
+        members[u].append(gi)
     dual_classes = sorted(
-        (tuple(sorted(v)) for v in buckets.values()),
+        (tuple(v) for v in members),
         key=lambda cls: (zero not in cls, len(cls), cls),
     )
     res = verify_schur_ring(group, dual_classes)

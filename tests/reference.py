@@ -8,17 +8,20 @@ halved and subgroup quotients of a graph, clique numbers and the
 Delsarte bound, Fourier coefficients read off the package's character
 table, the order condition on relative difference sets, the filters
 that rule out monomial addition sets, Ma's coset decomposition and the
-level-set certificates of antipodal covers.  It lives here, beside the
-tests that import it, and each piece is checked there against brute
+level-set certificates of antipodal covers.  It also holds oracles for
+package code: every inverse-closed set, the line graph of a transversal
+design, the atoms of a group and a graph6 decoder.  It lives here, beside
+the tests that import it, and each piece is checked there against brute
 force or a worked example.
 """
 
 from __future__ import annotations
 
+import itertools as it
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +47,55 @@ from drgcayley.groups import (
     make_group,
     subgroup_from_elements,
 )
+
+
+# ---------------------------------------------------------------------------
+# oracles for package code: connection sets, transversal designs, atoms, graph6
+
+
+def inverse_closed_sets(group: AbelianGroup) -> Iterator[FrozenSet[GroupElement]]:
+    """Every inverse-closed subset of G\\{0}, once each: the unions of {g,-g} pairs."""
+    pairs = list(dict.fromkeys(frozenset((g, -g)) for g in group.elements() if not g.is_zero))
+    for keep in it.product((False, True), repeat=len(pairs)):
+        yield frozenset(e for k, pair in zip(keep, pairs) if k for e in pair)
+
+
+def td_line_graph_edges(subgroups: Sequence[Subgroup]) -> FrozenSet[FrozenSet[int]]:
+    """Line graph of the transversal design on the cosets of the given
+    subgroups: line g (an element index) meets the coset g + H of each, and
+    two lines are adjacent iff they share a point."""
+    group = subgroups[0].group
+    points = [{(j, frozenset(g + h for h in sub.elements)) for j, sub in enumerate(subgroups)}
+              for g in group.elements()]
+    return frozenset(frozenset((a, b)) for a, b in it.combinations(range(group.order), 2)
+                     if points[a] & points[b])
+
+
+def atoms(group: AbelianGroup) -> Tuple[Tuple[GroupElement, ...], ...]:
+    """[g] = {x : <x> = <g>}, the atoms of the subsets closed under
+    generated-subgroup equality, ordered by smallest member."""
+    bucket: Dict[FrozenSet[GroupElement], List[GroupElement]] = {}
+    for g in group.elements():
+        bucket.setdefault(generated_subgroup(group, [g]).element_set(), []).append(g)
+    parts = [tuple(sorted(v, key=lambda e: e.coords)) for v in bucket.values()]
+    return tuple(sorted(parts, key=lambda part: part[0].coords))
+
+
+def decode_graph6(text: str) -> np.ndarray:
+    """Adjacency matrix of a graph6 string of at most 258047 vertices."""
+    n, body = ord(text[0]) - 63, text[1:]
+    if text.startswith("~"):
+        n, body = 0, text[4:]
+        for ch in text[1:4]:
+            n = (n << 6) | (ord(ch) - 63)
+    bits = [(ord(ch) - 63) >> (5 - i) & 1 for ch in body for i in range(6)]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    if len(bits) < len(pairs) or any(not 0 <= ord(ch) - 63 < 64 for ch in body):
+        raise ValueError(f"malformed graph6 body for {n} vertices")
+    A = np.zeros((n, n), dtype=np.int8)
+    for (i, j), b in zip(pairs, bits):
+        A[i, j] = A[j, i] = b
+    return A
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,12 @@ def test_verify_circulant_cli(capsys):
     assert code == 2
 
 
+def test_verify_circulant_of_the_trivial_group(capsys):
+    code, data = invoke_json(capsys, "verify-circulant", "--group", "1")
+    assert code == 0
+    assert data["verified"] is True
+
+
 # ---------------------------------------------------------------------------
 # recheck
 
@@ -351,6 +357,18 @@ def test_recheck_of_a_report_without_aut_reduction_mismatches_inputs(tmp_path, c
     assert code == 1
     assert out2["match"] is False
     assert out2["mismatched_keys"] == ["inputs"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "not json", '{"command": "classify", "inputs": 5}', '{"command": 5, "inputs": {}}'],
+    ids=["missing-file", "not-json", "inputs-not-an-object", "command-not-a-string"],
+)
+def test_recheck_of_malformed_input_is_a_usage_error(tmp_path, capsys, text):
+    path = str(tmp_path / "absent.json") if text is None else _save(tmp_path, text)
+    code, out = invoke_json(capsys, "recheck", "--input", path)
+    assert code == 2
+    assert out["error"] == "usage"
 
 
 def test_recheck_rejects_foreign_json(tmp_path, capsys):

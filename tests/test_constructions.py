@@ -1,7 +1,5 @@
 """Constructors and expected catalogs: every builder must certify itself."""
 
-import itertools
-
 import pytest
 
 from drgcayley.constructions import (
@@ -12,16 +10,16 @@ from drgcayley.constructions import (
     cycle,
     expected_catalog,
     expected_circulant_catalog,
-    hamming2,
     order_p_subgroups,
     paley,
     srg_array,
-    td_from_subgroups,
     td_line_graph,
 )
 from drgcayley.errors import SpecError
 from drgcayley.graphs import IntersectionArray, check_distance_regular, spectrum
 from drgcayley.groups import generated_subgroup, make_group, subgroups_of_order
+
+from reference import td_line_graph_edges
 
 
 def subgroup_of_order(group, k):
@@ -126,25 +124,9 @@ def test_td_line_graph_rejections():
         td_line_graph(5, lines[:2])  # parts live in the wrong group
 
 
-def test_td_shapes():
-    td = td_from_subgroups(3, order_p_subgroups(3)[:2])
-    assert (len(td.points), len(td.lines), len(td.groups)) == (6, 9, 2)
-    td = td_from_subgroups(5, order_p_subgroups(5)[:5])
-    assert (len(td.points), len(td.lines)) == (25, 25)
-
-
-def test_td_axioms_every_choice():
-    for p in (3, 5, 7):
-        lines = order_p_subgroups(p)
-        for r in range(2, p + 1):
-            for combo in itertools.combinations(lines, r):
-                td_from_subgroups(p, combo)  # validates internally
-
-
 def test_td_line_graph_edges_match():
     for p, r in ((3, 2), (3, 3), (5, 2)):
         lines = order_p_subgroups(p)[:r]
-        td = td_from_subgroups(p, lines)
         graph = td_line_graph(p, lines).graph
         adj = graph.adjacency()
         edges = {
@@ -153,7 +135,7 @@ def test_td_line_graph_edges_match():
             for j in range(i + 1, graph.order)
             if adj[i, j]
         }
-        assert td.line_graph_edges() == edges
+        assert td_line_graph_edges(lines) == edges
 
 
 def test_td_line_graph_spectrum():
@@ -179,17 +161,15 @@ def test_paley_graphs():
 
 
 def test_hamming2_matches_axis_line_graph():
-    h = hamming2(3)
-    assert h.verify() and h.predicted == srg_array(4, 1, 2)
-    group = h.graph.group
+    # H(2,3), the 3x3 rook graph: (a,b) ~ (a',b') iff they agree in one coordinate
+    group = make_group([3, 3])
     axes = [
         generated_subgroup(group, [group.element([1, 0])]),
         generated_subgroup(group, [group.element([0, 1])]),
     ]
-    assert h.graph.connection == td_line_graph(3, axes).graph.connection
-    assert hamming2(4).verify()
-    with pytest.raises(SpecError):
-        hamming2(1)
+    rook = td_line_graph(3, axes)
+    assert rook.graph.connection == {e for e in group.elements() if not e.is_zero and 0 in e.coords}
+    assert rook.verify() and rook.predicted == srg_array(4, 1, 2)
 
 
 def test_crown_connection_sets():

@@ -11,19 +11,20 @@ from drgcayley.graphs import (
     IntersectionArray,
     check_distance_regular,
     check_distance_regular_bruteforce,
-    decode_graph6,
     detect_family,
     distance_partition,
     export_graph6,
     imprimitivity,
     spectrum,
 )
-from drgcayley.groups import atoms, generated_subgroup, make_group
+from drgcayley.groups import generated_subgroup, make_group
 
 from reference import (
     antipodal_quotient,
+    atoms,
     bipartition_subgroup,
     clique_number,
+    decode_graph6,
     delsarte_bound,
     halved_graph,
     quotient_by_subgroup,

@@ -10,7 +10,6 @@ from drgcayley.errors import SpecError
 from drgcayley.groups import (
     Subgroup,
     all_subgroups,
-    atoms,
     automorphisms,
     canonicalize_connection_set,
     generated_subgroup,
@@ -23,7 +22,7 @@ from drgcayley.groups import (
     subgroups_of_order,
 )
 
-from reference import quotient_group, smith_normal_form, subgroup_as_group
+from reference import atoms, quotient_group, smith_normal_form, subgroup_as_group
 
 POOL = [make_group(m) for m in ([2], [5], [6], [4, 2], [3, 3], [6, 3], [2, 2, 2], [12])]
 

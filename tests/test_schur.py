@@ -13,7 +13,7 @@ from drgcayley.cli import run
 from drgcayley.cyclotomic import CyclotomicInteger, euler_phi
 from drgcayley.errors import InvariantViolation, SpecError
 from drgcayley.graphs import CayleyGraph, check_distance_regular, distance_partition, spectrum
-from drgcayley.groups import AbelianGroup, atoms, make_group
+from drgcayley.groups import AbelianGroup, make_group
 from drgcayley.schur import (
     SchurCheck,
     SchurRing,
@@ -35,6 +35,7 @@ from test_graphs import (
     srg942,
     taylor_cover_z2_5,
 )
+from reference import atoms
 
 
 def tensor_parity_vanishing(tensor) -> bool:

@@ -1,7 +1,7 @@
 """The Gray-code screen against a brute-force reference, over partitions of
 the walk into step ranges, and report bytes across worker counts."""
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drgcayley import classify
-from drgcayley.classify import _set_of_mask, inverse_pair_basis
+from drgcayley.classify import _mask_indices, inverse_pair_basis
 from drgcayley.cli import run
 from drgcayley.errors import NotConnectedError, SpecError
 from drgcayley.graphs import CayleyGraph, check_distance_regular
@@ -211,7 +211,8 @@ def test_screen_keeps_every_distance_regular_set(data):
         t = _gray_rank(mask & ((1 << L) - 1))
         survivors = classify._screen(tab, t, t + 1)[1]
     try:
-        drg = check_distance_regular(CayleyGraph(group, _set_of_mask(group, tab.basis, mask))).ok
+        conn = [group.from_index(i) for i in _mask_indices(tab.basis, mask)]
+        drg = check_distance_regular(CayleyGraph(group, conn)).ok
     except NotConnectedError:
         drg = False
     if drg:
@@ -241,11 +242,12 @@ def test_report_bytes_do_not_depend_on_jobs(group, jobs, capsys):
 
 @pytest.mark.parametrize("moduli", [(6, 3), (9, 3), (12, 3)], ids=["z6x3", "z9x3", "z12x3"])
 def test_spawned_step_split_matches_in_process(moduli, monkeypatch):
-    """With the spawn threshold at 0, jobs 2 and 3 spawn workers for every
-    group with at least two Gray steps: Z_9 x Z_3 has 2 (L = 1) and
-    Z_12 x Z_3 has 64 (L = 6), which 3 workers split 21/21/22.  Z_6 x Z_3
-    has a single step, so it runs in process.  HIGH_BITS stays at its
-    default: spawned workers import the module afresh."""
+    """With the spawn threshold at 0 and three usable CPUs, jobs 2 and 3
+    spawn workers for every group with at least two Gray steps: Z_9 x Z_3
+    has 2 (L = 1) and Z_12 x Z_3 has 64 (L = 6), which 3 workers split
+    21/21/22.  Z_6 x Z_3 has a single step, so it runs in process.
+    HIGH_BITS stays at its default: spawned workers import the module
+    afresh."""
     pools = []
 
     def counted(*args, **kwargs):
@@ -256,10 +258,30 @@ def test_spawned_step_split_matches_in_process(moduli, monkeypatch):
     want = classify.classify_group(classify.SearchSpec(group)).to_json()
     monkeypatch.setattr(classify, "SPAWN_SUBSETS", 0)
     monkeypatch.setattr(classify, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(classify.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     steps = 1 << classify._low_bits(classify._tables(moduli).B)
     for jobs in (2, 3):
         assert classify.classify_group(classify.SearchSpec(group, workers=jobs)).to_json() == want
     assert pools == ([] if steps == 1 else [2, min(3, steps)])
+
+
+def test_spawned_workers_are_capped_at_the_usable_cpus(monkeypatch):
+    """A spawn pool starts one interpreter per range submitted, so a worker
+    count above the CPUs this process may use is cut to them.  The fake
+    pool maps on one thread: the test starts no process."""
+    pools = []
+
+    def one_thread(max_workers, mp_context):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers=1)
+
+    group = make_group([12, 3])  # 64 Gray steps
+    want = classify.classify_group(classify.SearchSpec(group)).to_json()
+    monkeypatch.setattr(classify, "SPAWN_SUBSETS", 0)
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", one_thread)
+    monkeypatch.setattr(classify.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert classify.classify_group(classify.SearchSpec(group, workers=1 << 15)).to_json() == want
+    assert pools == [3]
 
 
 def test_searches_below_the_spawn_threshold_run_in_process(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drgcayley import cyclotomic, graphs, schur
-from drgcayley.algebra import character_values
+from drgcayley.algebra import character_values, distinct_rows
 from drgcayley.classify import verify_circulant_theorem
 from drgcayley.cyclotomic import CyclotomicInteger
 from drgcayley.errors import InvariantViolation, PrecisionError, SpecError
@@ -126,7 +126,7 @@ def test_spectrum_through_the_object_dtype_fallback(monkeypatch, graph):
 def test_invariants_accept_the_true_spectrum_and_refuse_perturbed_ones():
     graph = cycle_graph(7)  # multiplicities 1, 2, 2, 2
     group = graph.group
-    keys, label = graphs._distinct_rows(character_values(group, [graph.connection_indices()])[:, 0])
+    keys, label = distinct_rows(character_values(group, [graph.connection_indices()])[:, 0])
     mults = np.bincount(label)
     graphs._eigensystem_invariants(group, graph.degree, keys, mults)
     with pytest.raises(InvariantViolation, match="sum to zero"):
@@ -149,7 +149,7 @@ def test_invariants_accept_the_true_spectrum_and_refuse_perturbed_ones():
 def test_invariants_agree_on_the_int64_and_object_products():
     graph = cycle_graph(211)
     group = graph.group
-    keys, label = graphs._distinct_rows(character_values(group, [graph.connection_indices()])[:, 0])
+    keys, label = distinct_rows(character_values(group, [graph.connection_indices()])[:, 0])
     mults = np.bincount(label)
     bent = keys.copy()
     bent[1, 5] += 1
