@@ -424,6 +424,9 @@ def _cmd_recheck(args) -> Payload:
         fresh = parser.parse_args(argv)
     except SystemExit as exc:
         raise SpecError(f"stored report inputs do not parse: {argv}") from exc
+    if fresh.func is _cmd_recheck:
+        # a stored recheck would run recheck again, on itself if it names its own file
+        raise SpecError(f"{args.input} is a recheck report; recheck the report it names instead")
     payload, _, code = fresh.func(fresh)
     match = json.loads(json.dumps(payload, sort_keys=True)) == data
     out = {

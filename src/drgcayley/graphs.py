@@ -346,34 +346,46 @@ def spectrum(graph: CayleyGraph, dps: int = 40) -> Eigensystem:
 
 def _spectrum(group: AbelianGroup, connection: Tuple[int, ...], dps: int) -> Eigensystem:
     m = group.exponent
+    where = {"group": list(group.moduli), "connection": list(connection)}
     keys, label = distinct_rows(character_values(group, [connection])[:, 0])
     counts = np.bincount(label, minlength=len(keys))
     # a real value is fixed by complex conjugation, zeta^i -> zeta^-i
     conjugate = np.zeros((len(keys), m), dtype=keys.dtype)
     conjugate[:, -np.arange(keys.shape[1]) % m] = keys
-    if not np.array_equal(reduce_root_counts(conjugate, m), keys):
-        raise InvariantViolation("eigenvalue of an inverse-closed set must be real")
+    unreal = np.flatnonzero((reduce_root_counts(conjugate, m) != keys).any(axis=1))
+    if unreal.size:
+        raise InvariantViolation(
+            "eigenvalue of an inverse-closed set must be real",
+            witness={**where, "value": repr(CyclotomicInteger(m, keys[unreal[0]].tolist()))},
+        )
     rows = keys.tolist()
-    order, numerics = _numeric_order(m, rows, dps)
-    _eigensystem_invariants(group, len(connection), keys, counts)
+    order, numerics = _numeric_order(m, rows, dps, where)
+    _eigensystem_invariants(group, len(connection), keys, counts, where)
     values = tuple(CyclotomicInteger(m, rows[u]) for u in order)
     mults = tuple(int(counts[u]) for u in order)
     connected = generated_subgroup(group, [group.from_index(i) for i in connection]).order == group.order
     if connected and (mults[0] != 1 or values[0] != len(connection)):
-        raise InvariantViolation("top eigenvalue of a connected graph must be the degree, simple")
-    if not np.array_equal(label[group.neg_table()], label):
-        raise InvariantViolation("eigenvalue level sets must be inverse closed")
+        raise InvariantViolation(
+            "top eigenvalue of a connected graph must be the degree, simple",
+            witness={**where, "top": repr(values[0]), "multiplicity": mults[0]},
+        )
+    flipped = np.flatnonzero(label[group.neg_table()] != label)
+    if flipped.size:
+        raise InvariantViolation(
+            "eigenvalue level sets must be inverse closed",
+            witness={**where, "character": int(flipped[0]), "inverse": int(group.neg_table()[flipped[0]])},
+        )
     members = np.split(np.argsort(label, kind="stable"), np.cumsum(counts)[:-1])
     levels = tuple(tuple(members[u].tolist()) for u in order)
     return Eigensystem(group, values, tuple(numerics), mults, levels)
 
 
-def _numeric_order(m: int, rows: List[List[int]], dps: int) -> Tuple[List[int], List[float]]:
+def _numeric_order(m: int, rows: List[List[int]], dps: int, where: dict) -> Tuple[List[int], List[float]]:
     """Descending order of the values with coordinates rows at conductor
     m, and their floats, behind the imaginary-part and separation gates.
     A rational integer k sorts as itself and renders as float(k), equal
     to float(mpf(k)) as |k| <= |G| < 2^53; mpmath is imported and run
-    only when some value is irrational."""
+    only when some value is irrational.  where opens every witness."""
     irrational = any(any(row[1:]) for row in rows)
     if irrational:
         import mpmath
@@ -384,7 +396,10 @@ def _numeric_order(m: int, rows: List[List[int]], dps: int) -> Tuple[List[int], 
             if any(row[1:]):
                 z = CyclotomicInteger(m, row).numeric(dps)
                 if abs(z.imag) > mpmath.mpf(10) ** (-dps // 2):
-                    raise InvariantViolation("real eigenvalue evaluated with a large imaginary part")
+                    raise InvariantViolation(
+                        "real eigenvalue evaluated with a large imaginary part",
+                        witness={**where, "value": repr(CyclotomicInteger(m, row)), "imag": float(z.imag)},
+                    )
                 entries.append((mpmath.mpf(z.real), u))
             else:
                 entries.append((row[0], u))
@@ -396,14 +411,24 @@ def _numeric_order(m: int, rows: List[List[int]], dps: int) -> Tuple[List[int], 
     return [u for _, u in entries], [float(x) for x, _ in entries]
 
 
-def _eigensystem_invariants(group: AbelianGroup, degree: int, keys: np.ndarray, mults: np.ndarray) -> None:
+def _eigensystem_invariants(
+    group: AbelianGroup, degree: int, keys: np.ndarray, mults: np.ndarray, where: Optional[dict] = None
+) -> None:
     """The trace identities sum m_i theta_i = 0 and sum m_i theta_i^2 =
-    k|G| on the power-basis coordinates keys[i] of the distinct values."""
+    k|G| on the power-basis coordinates keys[i] of the distinct values.
+    where opens every witness; it defaults to the group moduli."""
     n, m = group.order, group.exponent
+    where = where or {"group": list(group.moduli)}
     if int(mults.sum()) != n:
-        raise InvariantViolation("eigenvalue multiplicities must sum to the order")
-    if (mults @ keys).any():
-        raise InvariantViolation("eigenvalues must sum to zero (trace)")
+        raise InvariantViolation(
+            "eigenvalue multiplicities must sum to the order",
+            witness={**where, "multiplicities": int(mults.sum()), "order": n},
+        )
+    trace = mults @ keys
+    if trace.any():
+        raise InvariantViolation(
+            "eigenvalues must sum to zero (trace)", witness={**where, "trace": [int(x) for x in trace]}
+        )
     # theta^2 has sum_{i+j=t} theta_i theta_j at x^t: weight the outer
     # products by multiplicity, then fold the antidiagonals by skewing
     # row i i places right (rows of length 2phi+1 read back as 2phi)
@@ -419,7 +444,10 @@ def _eigensystem_invariants(group: AbelianGroup, degree: int, keys: np.ndarray, 
     np.add.at(counts, np.arange(2 * phi - 1) % m, folded)  # zeta^m = 1
     square = reduce_root_counts(counts, m)
     if square[0] != degree * n or square[1:].any():
-        raise InvariantViolation("sum of squared eigenvalues must equal k|G|")
+        raise InvariantViolation(
+            "sum of squared eigenvalues must equal k|G|",
+            witness={**where, "square": [int(x) for x in square], "expected": degree * n},
+        )
 
 
 # ---------------------------------------------------------------------------

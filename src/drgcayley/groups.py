@@ -425,11 +425,23 @@ def automorphisms(group: AbelianGroup) -> np.ndarray:
     """All automorphisms as a read-only (|Aut|, n) int32 array; row a maps
     element index i to a[i].  Rows are in lexicographic order.
 
-    Every generator-image tuple is one integer matrix M (row i = image of
-    e_i); the tuples are walked in fixed-size chunks, all n elements are
-    mapped per chunk at once, and a homomorphism is kept iff its kernel is
-    trivial.  Refused (SpecError) when |G| > MAX_AUT_ORDER or when more
-    than MAX_AUT_CANDIDATES tuples would be walked.
+    The generator-image tuples are walked in fixed-size chunks.  Each tuple
+    is decoded straight into the indices of the images of e_1..e_r: entry
+    (i, j) of the image of e_i is a multiple of m_j / gcd(m_i, m_j) below
+    m_j, so no reduction is needed.  Every other element is filled in
+    index order from the addition table: p = c * s_i + q, with i the first
+    nonzero coordinate of p, s_i its stride, c >= 1 and q < s_i, has
+    a[p] = add[a[p - s_i], a[s_i]], one gather per block of s_i elements.
+    A homomorphism is kept iff its kernel is trivial.
+
+    Rows are sorted on the generator columns s_i alone: a[p] depends only
+    on a at indices below p and at a generator position s_i <= p, so the
+    first column where two distinct rows differ is a generator column, and
+    their order on the generator columns (ascending position) is their
+    full lexicographic order.
+
+    Refused (SpecError) when |G| > MAX_AUT_ORDER or when more than
+    MAX_AUT_CANDIDATES tuples would be walked.
     """
     if group.order > MAX_AUT_ORDER:
         raise SpecError(f"automorphism enumeration limited to order {MAX_AUT_ORDER}")
@@ -439,26 +451,46 @@ def automorphisms(group: AbelianGroup) -> np.ndarray:
             f"automorphism enumeration over {group} would test {total} generator images,"
             f" above the limit {MAX_AUT_CANDIDATES}"
         )
-    n, r, mods = group.order, group.rank, group.moduli
-    coords = group.coords_matrix().astype(np.int32)
-    # entry (i, j) of M ranges over the multiples of m_j / gcd(n_i, m_j)
-    radices = [gcd(mods[i], mods[j]) for i in range(r) for j in range(r)]
-    steps = [mods[j] // radices[i * r + j] for i in range(r) for j in range(r)]
+    n, mods, strides = group.order, group.moduli, group._strides
+    # the image of e_i (m_i > 1) is one of Q_i = prod_j gcd(m_i, m_j)
+    # indices: coordinate j is a multiple of m_j / gcd(m_i, m_j) below m_j,
+    # so the index needs no reduction; a tuple is one digit of radix Q_i
+    # per generator
+    images = []
+    for mi, si in zip(mods, strides):
+        if mi > 1:
+            u = np.arange(prod(gcd(mi, mj) for mj in mods))
+            index = np.zeros(len(u), dtype=np.int32)
+            for mj, sj in zip(mods, strides):
+                u, digit = np.divmod(u, gcd(mi, mj))
+                index += digit * (mj // gcd(mi, mj) * sj)
+            images.append((si, index))
+    flat = group.add_table().ravel()
     chunk = max(1, AUT_CHUNK_ENTRIES // n)
     kept: List[np.ndarray] = []
     for start in range(0, total, chunk):
         t = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        mats = np.empty((r, r, len(t)), dtype=np.int32)
-        for k, (radix, step) in enumerate(zip(radices, steps)):
-            t, digit = np.divmod(t, radix)
-            mats[k // r, k % r] = digit * step
-        acc = np.zeros((n, mats.shape[2]), dtype=np.int32)
-        for j, (m, s) in enumerate(zip(mods, group._strides)):
-            acc += (coords @ mats[:, j]) % m * s
+        acc = np.zeros((n, len(t)), dtype=np.int32)
+        for s, index in images:
+            t, digit = np.divmod(t, len(index))
+            acc[s] = index[digit]
+        # rows [0, s) hold the elements whose coordinates before i are 0;
+        # row c * s + q is row (c - 1) * s + q plus e_i, one block per c
+        # (block c = 1 starts at e_i itself, rewritten with its own value)
+        for m, s in zip(mods[::-1], strides[::-1]):
+            for c in range(1, m):
+                # indices are below n * n by construction; "clip" skips the
+                # buffered bounds check that "raise" does with out=
+                idx = acc[(c - 1) * s : c * s] * n + acc[s]
+                np.take(flat, idx, out=acc[c * s : (c + 1) * s], mode="clip")
         # a homomorphism of a finite group is a bijection iff only 0 maps to 0
         kept.append(acc[:, (acc[1:] != 0).all(axis=0)].T)
     perms = np.concatenate(kept)
-    return _frozen(perms[np.lexsort(perms.T[::-1])])
+    if images:  # the trivial group has no generator and one row
+        # indices below 256 sort as uint8 keys, by radix sort
+        keys = perms.T[[s for s, _ in images]].astype(np.min_scalar_type(n - 1))
+        perms = perms[np.lexsort(keys)]
+    return _frozen(perms)
 
 
 @ft.lru_cache(maxsize=GROUP_CACHE_SIZE)

@@ -99,13 +99,36 @@ def _plain_automorphisms(group):
     return sorted(out)
 
 
-@pytest.mark.parametrize("moduli", [[6], [4, 2], [3, 3], [2, 2, 2], [6, 3], [9, 3], [8, 4]])
+# the edge cases: Z_1 factors, moduli out of divisor order, and [3, 15]
+@pytest.mark.parametrize(
+    "moduli",
+    [[6], [4, 2], [3, 3], [2, 2, 2], [6, 3], [9, 3], [8, 4], [1, 4], [3, 1], [3, 9], [2, 6], [3, 15]],
+)
 def test_automorphism_table_matches_plain_enumeration(moduli):
     g = make_group(moduli)
     perms = automorphisms(g)
     assert perms.dtype == np.int32 and perms.shape == (len(perms), g.order)
     assert not perms.flags.writeable
     assert perms.tolist() == _plain_automorphisms(g)
+
+
+@pytest.mark.parametrize("moduli", [[3, 3, 3], [9, 9], [8, 4, 2], [2, 2, 2, 2]])
+def test_automorphism_table_of_large_groups_is_aut_in_lex_order(moduli):
+    """Where the plain loop is too slow: distinct bijective homomorphisms,
+    as many as Hillar-Rhea counts, strictly increasing as full rows."""
+    g = make_group(moduli)
+    perms = automorphisms(g)
+    assert len(perms) == hillar_rhea_aut_order(moduli)
+    differ = perms[1:] != perms[:-1]
+    assert differ.any(axis=1).all()
+    first = differ.argmax(axis=1)
+    rows = np.arange(len(first))
+    assert (perms[1:][rows, first] > perms[:-1][rows, first]).all()
+    assert (np.sort(perms, axis=1) == np.arange(g.order)).all()
+    add = g.add_table()
+    for block in np.array_split(perms, -(-len(perms) // 256)):
+        # a[x + y] = a[x] + a[y] for every pair, 256 automorphisms at a time
+        assert (block[:, add] == add[block[:, :, None], block[:, None, :]]).all()
 
 
 def test_candidate_count_closed_form():

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from drgcayley import graphs
 from drgcayley.cli import parse_connection, run
 from drgcayley.errors import SpecError
 from drgcayley.graphs import CayleyGraph, export_graph6
@@ -156,6 +157,22 @@ def test_spectrum_precision_flag(capsys):
     assert code == 0
     assert data["inputs"]["precision"] == 60
     assert data["distinct"] == 3
+
+
+def test_spectrum_invariant_violation_carries_its_witness(capsys, monkeypatch):
+    true_values = graphs.character_values
+
+    def bent(group, classes):
+        values = true_values(group, classes).copy()
+        values[0, 0, 0] += 1  # the trivial character now reads k + 1
+        return values
+
+    monkeypatch.setattr(graphs, "character_values", bent)
+    code, data = invoke_json(capsys, "spectrum", "--group", "5", "--set", "1;4")
+    assert code == 3
+    assert data["error"] == "invariant"
+    assert "trace" in data["message"]
+    assert data["witness"] == {"group": [5], "connection": [1, 4], "trace": [1, 0, 0, 0]}
 
 
 @pytest.mark.parametrize("precision", ["0", "-3", "19", "1000000"])
@@ -374,3 +391,12 @@ def test_recheck_of_malformed_input_is_a_usage_error(tmp_path, capsys, text):
 def test_recheck_rejects_foreign_json(tmp_path, capsys):
     code, _, err = invoke(capsys, "recheck", "--input", _save(tmp_path, '{"a": 1}'))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["recheck", "--format json recheck"])
+def test_recheck_refuses_a_stored_recheck_naming_itself(tmp_path, capsys, command):
+    path = tmp_path / "self.json"
+    path.write_text(json.dumps({"command": command, "inputs": {"input": str(path)}}))
+    code, out = invoke_json(capsys, "recheck", "--input", str(path))
+    assert code == 2
+    assert out["error"] == "usage"

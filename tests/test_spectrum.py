@@ -170,8 +170,11 @@ def test_cycle_near_the_order_bound_has_its_full_spectrum():
 @pytest.mark.parametrize("moduli, connection", [((5,), (1,)), ((4,), (1, 2)), ((3, 3), (1, 3, 6))])
 def test_a_set_that_is_not_inverse_closed_has_a_non_real_eigenvalue(moduli, connection):
     # CayleyGraph refuses such sets; the kernel must still notice
-    with pytest.raises(InvariantViolation, match="must be real"):
+    with pytest.raises(InvariantViolation, match="must be real") as info:
         graphs._spectrum(make_group(moduli), connection, 40)
+    assert info.value.witness["group"] == list(moduli)
+    assert info.value.witness["connection"] == list(connection)
+    assert isinstance(info.value.witness["value"], str)
 
 
 @pytest.mark.parametrize("dps", [-3, 0, 19, graphs.MAX_DPS + 1, 10**6])
