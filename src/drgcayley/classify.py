@@ -23,11 +23,13 @@ range starting at step t first adds the low orbits of gray(t) =
 t ^ (t >> 1), then walks on as usual.  Worker processes, spawned only for
 searches of at least `SPAWN_SUBSETS` sets (smaller ones run in process
 whatever the worker count, since spawning costs more than it saves),
-take equal step ranges and return the screen's survivors with their
-Aut(G) canonical forms.  An automorphism sigma maps Cay(G, S) onto
-Cay(G, sigma S), so `classify_group` makes the final, exact check once per
-canonical form on the merged survivors; the report's serialized form is
-therefore byte-identical for any worker count.
+take equal step ranges and return only the screen's survivors.  An
+automorphism sigma maps Cay(G, S) onto Cay(G, sigma S), and the screen is
+Aut(G)-invariant, so the survivors come in whole Aut(G)-orbits:
+`classify_group` splits the merged survivors into classes with one
+`aut_classes` pass per class and makes the final, exact check once per
+class.  The report's serialized form is therefore byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -58,12 +60,11 @@ from .graphs import (
 from .groups import (
     AbelianGroup,
     GroupElement,
-    canonicalize_connection_set,
+    aut_classes,
     format_element,
     is_prime,
     make_group,
     maximal_subgroups,
-    orbit_size,
 )
 
 MAX_SUBSETS = 1 << 22
@@ -129,7 +130,10 @@ class _ScanTables:
         basis = inverse_pair_basis(group)
         B = len(basis)
         if group.index(group.zero) != 0:
-            raise InvariantViolation("zero must sit at element index 0")
+            raise InvariantViolation(
+                "zero must sit at element index 0",
+                witness={"group": list(moduli), "zero_index": group.index(group.zero)},
+            )
         add = group.add_table()
         row_of = np.zeros(group.order, dtype=np.intp)
         for j, orb in enumerate(basis):
@@ -293,20 +297,16 @@ def _screen(tab: _ScanTables, lo: int, hi: int) -> Tuple[int, np.ndarray]:
     return connected, ids
 
 
-def _scan_range(args) -> Tuple[int, List[Tuple[int, Tuple[int, ...]]]]:
-    """Worker body: (moduli, lo, hi) -> (connected, [(id, canonical form)]
-    of the screen's survivors) over the Gray steps lo <= t < hi.
+def _scan_range(args) -> Tuple[int, np.ndarray]:
+    """Worker body: (moduli, lo, hi) -> (connected count, sorted ids of the
+    screen's survivors) over the Gray steps lo <= t < hi.  It makes no
+    Aut(G) call, so a worker never builds the automorphism tables.
 
     Pure over immutable tables, so any partition of the 2^L steps into
     ranges yields the same merged result.
     """
     moduli, lo, hi = args
-    tab = _tables(tuple(moduli))
-    connected, ids = _screen(tab, lo, hi)
-    return connected, [
-        (sid, canonicalize_connection_set(tab.group, _mask_indices(tab.basis, sid)))
-        for sid in ids.tolist()
-    ]
+    return _screen(_tables(tuple(moduli)), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +413,8 @@ def aligned_rows(rows: Sequence[Tuple[str, str]]) -> str:
 
 
 def _sorted_element_tuple(group: AbelianGroup, indices: Sequence[int]) -> Tuple[GroupElement, ...]:
-    return tuple(group.from_index(i) for i in sorted(indices))
+    els = group.elements()
+    return tuple(els[i] for i in sorted(indices))
 
 
 def _formatted(conn) -> List[str]:
@@ -462,22 +463,21 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
     else:
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             results = list(pool.map(_scan_range, jobs))
-    survivors = sorted(pair for r in results for pair in r[1])
+    ids = np.sort(np.concatenate([r[1] for r in results]))
+    survivors = [sorted(_mask_indices(basis, sid)) for sid in ids.tolist()]
 
-    by_canon: Dict[Tuple[int, ...], List[Tuple[GroupElement, ...]]] = {}
-    for sid, canon in survivors:
-        members = by_canon.setdefault(canon, [])
-        members.append(_sorted_element_tuple(group, _mask_indices(basis, sid)))
     records = []
-    for canon in sorted(by_canon, key=lambda c: (len(c), c)):
+    classes = sorted(aut_classes(group, survivors), key=lambda c: (len(c[0]), c[0]))
+    for canon, members, expected in classes:
         conn = _sorted_element_tuple(group, canon)
         # sigma in Aut(G) maps Cay(G, S) onto Cay(G, sigma S), so one exact
-        # check decides the class, and a DRG class is a whole orbit
+        # check decides the class; the screen keeps every DRG set, so every
+        # image of a DRG class must have survived it
         graph = CayleyGraph(group, conn)
         check = check_distance_regular(graph)
         if not check.ok:
             continue
-        found, expected = len(by_canon[canon]), orbit_size(group, canon)
+        found = len(members)
         if found != expected:
             raise InvariantViolation(
                 f"Aut(G)-class of {conn} has {found} members, its orbit has {expected}",
@@ -498,7 +498,8 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
                 bipartite=info.bipartite,
                 antipodal=info.antipodal,
                 primitive=primitive,
-                members=tuple(sorted(by_canon[canon])),
+                # index order is the elements' coordinate order
+                members=tuple(_sorted_element_tuple(group, s) for s in sorted(survivors[i] for i in members)),
             )
         )
     fam_counts = Counter()

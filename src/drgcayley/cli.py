@@ -265,7 +265,16 @@ def _cmd_dual(args) -> Payload:
         dgraph = dual_graph(graph, tau, check)
         dres = check_distance_regular(dgraph)
         if not dres.ok:
-            raise InvariantViolation(f"dual graph under {tau} is not distance-regular")
+            raise InvariantViolation(
+                f"dual graph under {tau} is not distance-regular",
+                witness={
+                    "group": list(group.moduli),
+                    "connection": graph.connection_indices().tolist(),
+                    "ordering": list(tau),
+                    "dual_connection": dgraph.connection_indices().tolist(),
+                    "check": dres.witness,
+                },
+            )
         duals.append(
             {
                 "ordering": list(tau),
@@ -334,7 +343,14 @@ def _cmd_design_directions(args) -> Payload:
     payload.update(dset.to_dict())
     text = f"{len(points)} points determine {len(dset.labels())} direction(s): {status}"
     if status == "VIOLATION":
-        raise InvariantViolation(f"direction bound broken: {payload}")
+        raise InvariantViolation(
+            f"direction bound broken: {payload}",
+            witness={
+                "prime": args.prime,
+                "points": [list(w) for w in points],
+                "directions": len(dset.labels()),
+            },
+        )
     return payload, text, 0
 
 

@@ -163,7 +163,10 @@ class IntersectionArray:
             num = ks[-1] * self.b[i]
             den = self.c[i]
             if num % den != 0:
-                raise InvariantViolation("class sizes are not integral")
+                raise InvariantViolation(
+                    "class sizes are not integral",
+                    witness={"b": list(self.b), "c": list(self.c), "i": i, "numerator": num, "denominator": den},
+                )
             ks.append(num // den)
         return tuple(ks)
 
@@ -242,12 +245,20 @@ def _check(group: AbelianGroup, connection: Tuple[int, ...]) -> DRGCheck:
         return DRGCheck(False, None, part, witness)
     # b_i = hi[i + 1, i], c_{i+1} = hi[i, i + 1]
     arr = IntersectionArray(tuple(np.diagonal(hi, -1).tolist()), tuple(np.diagonal(hi, 1).tolist()))
+    where = {"group": list(group.moduli), "connection": list(connection)}
     sizes = arr.class_sizes()
-    if sizes != tuple(len(cls) for cls in part.classes) or sum(sizes) != n:
-        raise InvariantViolation("intersection array inconsistent with layer sizes")
+    layer_sizes = [len(cls) for cls in part.classes]
+    if list(sizes) != layer_sizes or sum(sizes) != n:
+        raise InvariantViolation(
+            "intersection array inconsistent with layer sizes",
+            witness={**where, "class_sizes": list(sizes), "layer_sizes": layer_sizes},
+        )
     for i in range(d):
         if sizes[i] * arr.b[i] != sizes[i + 1] * arr.c[i]:
-            raise InvariantViolation("k_i b_i != k_{i+1} c_{i+1}")
+            raise InvariantViolation(
+                "k_i b_i != k_{i+1} c_{i+1}",
+                witness={**where, "i": i, "left": sizes[i] * arr.b[i], "right": sizes[i + 1] * arr.c[i]},
+            )
     return DRGCheck(True, arr, part)
 
 
@@ -276,13 +287,16 @@ def check_distance_regular_bruteforce(graph: CayleyGraph) -> DRGCheck:
     if d == 0:
         return DRGCheck(True, IntersectionArray((), ()), None)
     Ai = A.astype(np.int64)
+    where = {"group": list(graph.group.moduli), "connection": graph.connection_indices().tolist()}
     b = [0] * d
     c = [0] * d
     a_vals = [0] * d
     for i in range(1, d + 1):
         pairs = dist == i
         if not pairs.any():
-            raise InvariantViolation("distance value skipped")
+            raise InvariantViolation(
+                "distance value skipped", witness={**where, "distance": i, "diameter": d}
+            )
         prev = (dist == i - 1).astype(np.int64) @ Ai  # [u,v] = |N(v) at dist i-1 from u|
         same = (dist == i).astype(np.int64) @ Ai
         nxt = (dist == i + 1).astype(np.int64) @ Ai
@@ -296,7 +310,9 @@ def check_distance_regular_bruteforce(graph: CayleyGraph) -> DRGCheck:
                 if i <= d - 1:
                     b[i] = int(vals[0])
                 elif int(vals[0]) != 0:
-                    raise InvariantViolation("b_d must vanish")
+                    raise InvariantViolation(
+                        "b_d must vanish", witness={**where, "distance": i, "b_d": int(vals[0])}
+                    )
             else:
                 a_vals[i - 1] = int(vals[0])
     b[0] = int(A.sum(axis=1)[0])
@@ -472,11 +488,18 @@ def imprimitivity(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Impri
     h_sub = None
     if anti:
         els = graph.group.elements()
-        members = [els[i] for i in part.classes[0] + part.classes[-1]]
+        antipodal_class = sorted(part.classes[0] + part.classes[-1])
         try:
-            h_sub = subgroup_from_elements(graph.group, members)
+            h_sub = subgroup_from_elements(graph.group, [els[i] for i in antipodal_class])
         except SpecError as exc:
-            raise InvariantViolation("antipodal class S_0 u S_d is not a subgroup") from exc
+            raise InvariantViolation(
+                "antipodal class S_0 u S_d is not a subgroup",
+                witness={
+                    "group": list(graph.group.moduli),
+                    "connection": graph.connection_indices().tolist(),
+                    "antipodal_class": antipodal_class,
+                },
+            ) from exc
     return Imprimitivity(bip, anti, h_sub)
 
 

@@ -1,7 +1,9 @@
-"""Independent oracles for the vectorised Aut(G) table and canonical form.
+"""Independent oracles for the vectorised Aut(G) table, canonical form and
+class pass.
 
 Each oracle here is written without the code it checks: a closed form for
-|Aut(G)|, a plain loop over generator images, and a plain lex-min loop.
+|Aut(G)|, a plain loop over generator images, a plain lex-min loop and a
+plain set of images.
 """
 
 import itertools as it
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from drgcayley.errors import SpecError
 from drgcayley.groups import (
     aut_candidate_count,
+    aut_classes,
     automorphisms,
     canonicalize_connection_set,
     make_group,
@@ -149,6 +152,10 @@ def _plain_canonical(group, indices):
     return min(tuple(sorted(int(p[i]) for i in indices)) for p in automorphisms(group))
 
 
+def _plain_images(group, indices):
+    return {frozenset(int(p[i]) for i in indices) for p in automorphisms(group)}
+
+
 # Keys are ceil(n / 32) words; the groups sit on both sides of each word
 # boundary, and LARGE holds frontier shapes of three or more words.
 SMALL = [make_group(m) for m in ([3, 3, 3], [2, 2, 2, 2], [15, 3], [8, 4], [11, 3], [8, 8])]
@@ -179,6 +186,49 @@ def test_canonical_form_matches_plain_lex_min_large(case):
 @given(_index_sets(SMALL + LARGE))
 def test_orbit_size_counts_distinct_images(case):
     g, s = case
-    images = {frozenset(int(p[i]) for i in s) for p in automorphisms(g)}
+    images = _plain_images(g, s)
     assert orbit_size(g, s) == len(images)
     assert len(automorphisms(g)) % len(images) == 0
+
+
+@st.composite
+def _families(draw, groups):
+    """A group and a family of index sets: random sets of different sizes,
+    each with images of it under random automorphism rows, shuffled."""
+    g = draw(st.sampled_from(groups))
+    perms = automorphisms(g)
+    bases = draw(st.lists(st.sets(st.integers(0, g.order - 1), max_size=g.order), min_size=1, max_size=3))
+    family = []
+    for s in bases:
+        family.append(sorted(s))
+        for row in draw(st.lists(st.integers(0, len(perms) - 1), max_size=3)):
+            family.append(sorted(int(perms[row][i]) for i in s))
+    return g, draw(st.permutations(family))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_families(SMALL + LARGE))
+def test_aut_classes_partition_a_family_into_orbits(case):
+    g, family = case
+    classes = aut_classes(g, family)
+    positions = [p for _, members, _ in classes for p in members]
+    assert sorted(positions) == list(range(len(family)))
+    firsts = [members[0] for _, members, _ in classes]
+    assert firsts == sorted(firsts)
+    assert all(list(members) == sorted(members) for _, members, _ in classes)
+    canonical = {}
+    for canon, members, size in classes:
+        for p in members:
+            key = frozenset(family[p])
+            if key not in canonical:
+                canonical[key] = _plain_canonical(g, family[p])
+            assert canonical[key] == canon
+        assert size == len(_plain_images(g, canon))
+    assert len({canon for canon, _, _ in classes}) == len(classes)
+
+
+@pytest.mark.parametrize("g", SMALL + [make_group([]), make_group([5])], ids=str)
+def test_aut_classes_of_empty_families(g):
+    assert aut_classes(g, []) == []
+    assert aut_classes(g, [[]]) == [((), (0,), 1)]
+    assert aut_classes(g, [(), set()]) == [((), (0, 1), 1)]

@@ -175,6 +175,20 @@ def test_spectrum_invariant_violation_carries_its_witness(capsys, monkeypatch):
     assert data["witness"] == {"group": [5], "connection": [1, 4], "trace": [1, 0, 0, 0]}
 
 
+def test_graph_invariant_violation_carries_its_witness(capsys, monkeypatch):
+    """C_6 = Cay(Z_6, {1, 5}) is antipodal with antipodal class {0, 3};
+    refusing that subgroup trips the imprimitivity trap."""
+
+    def refuse(group, elements):
+        raise SpecError("refused")
+
+    monkeypatch.setattr(graphs, "subgroup_from_elements", refuse)
+    code, data = invoke_json(capsys, "check", "--group", "6", "--set", "1;5")
+    assert code == 3
+    assert data["error"] == "invariant"
+    assert data["witness"] == {"group": [6], "connection": [1, 5], "antipodal_class": [0, 3]}
+
+
 @pytest.mark.parametrize("precision", ["0", "-3", "19", "1000000"])
 def test_spectrum_precision_outside_bounds_is_a_usage_error(capsys, precision):
     t0 = time.perf_counter()

@@ -10,6 +10,10 @@ SHA-256 of the stdout of `drgcayley --format <format> <command>` for the
 schur, krein and dual commands on three graphs, as recorded before the
 Schur and Krein structure constants were kept as arrays only.  CI checks
 the text krein and dual digests through the console script as well.
+
+Z7X7_DIGEST is the SHA-256 of the Z_7 x Z_7 report at max_subsets 2^24,
+above the default limit, as the per-survivor canonical form produced it:
+two key words per set, 247 survivors in 8 Aut(G)-classes.
 """
 
 import hashlib
@@ -25,6 +29,7 @@ from drgcayley.groups import make_group
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "classify_digests.json").read_text())
 CLI_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_digests.json").read_text())
+Z7X7_DIGEST = "8b08fa1fafa5f03e72130116a7ae0e85744a52b3f207fc4a14552b305eed8ad6"
 CLI_GRAPHS = {
     "paley-z13": ("13", "1;3;4;9;10;12"),
     "cube-z2x2x2x2": ("2,2,2,2", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"),
@@ -36,6 +41,11 @@ CLI_GRAPHS = {
 def test_report_matches_golden_digest(key):
     report = classify_group(SearchSpec(make_group([int(m) for m in key.split(",")])))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == GOLDEN[key]
+
+
+def test_raised_limit_report_matches_golden_digest():
+    report = classify_group(SearchSpec(make_group([7, 7]), max_subsets=1 << 24))
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == Z7X7_DIGEST
 
 
 @pytest.mark.parametrize("key", sorted(CLI_GOLDEN))

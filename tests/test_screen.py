@@ -3,13 +3,14 @@ the walk into step ranges, and report bytes across worker counts."""
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import lru_cache
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgcayley import classify
+from drgcayley import classify, groups
 from drgcayley.classify import _mask_indices, inverse_pair_basis
 from drgcayley.cli import run
 from drgcayley.errors import NotConnectedError, SpecError
@@ -125,7 +126,7 @@ def test_block_partitions_match_reference(data):
     assert sum(p[0] for p in parts) == connected
     assert all(part == sorted(part) for part in ids)
     assert sorted(sid for part in ids for sid in part) == sorted(survivors)
-    assert sorted(sid for p in parts for sid, _ in p[1]) == sorted(survivors)
+    assert sorted(sid for p in parts for sid in p[1]) == sorted(survivors)
 
 
 @settings(max_examples=1, deadline=None)
@@ -293,3 +294,23 @@ def test_searches_below_the_spawn_threshold_run_in_process(monkeypatch):
     want = classify.classify_group(classify.SearchSpec(group)).to_json()
     monkeypatch.setattr(classify, "ProcessPoolExecutor", refuse)
     assert classify.classify_group(classify.SearchSpec(group, workers=2)).to_json() == want
+
+
+def _scan_and_count_aut_tables(args):
+    """Run one worker range, then report how many groups this process has
+    built the Aut(G) table and its canonical-form keys for."""
+    classify._scan_range(args)
+    return groups.automorphisms.cache_info().currsize, groups._lex_keys.cache_info().currsize
+
+
+def test_aut_tables_are_built_only_in_the_parent():
+    """A spawned worker screens its range without any Aut(G) call; the
+    classes are marked in the calling process, which reads the tables."""
+    moduli = (3, 3, 3)
+    steps = 1 << classify._low_bits(classify._tables(moduli).B)
+    with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
+        assert pool.submit(_scan_and_count_aut_tables, (moduli, 0, steps)).result() == (0, 0)
+    before = groups._lex_keys.cache_info()
+    classify.classify_group(classify.SearchSpec(make_group(moduli)))
+    after = groups._lex_keys.cache_info()
+    assert after.hits + after.misses > before.hits + before.misses
