@@ -19,7 +19,6 @@ from .graphs import (
     DRGCheck,
     IntersectionArray,
     check_distance_regular,
-    check_distance_regular_bruteforce,
     detect_family,
     distance_partition,
     export_graph6,
@@ -74,7 +73,6 @@ __all__ = [
     "Subgroup",
     "__version__",
     "check_distance_regular",
-    "check_distance_regular_bruteforce",
     "classify_group",
     "crown",
     "detect_family",

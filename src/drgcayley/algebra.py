@@ -1,109 +1,24 @@
-"""Integer group-algebra elements and the group's character table.
+"""The group's character table and exact character sums over sets.
 
-An algebra element is an integer coefficient vector indexed by group
-elements in index order; multiplication is convolution over the group.
 The character chi_g(x) = zeta_m^{e(g,x)}, m the group exponent, is held
 as its exponent table e, and character sums over sets come back as
 exact cyclotomic coordinates; `distinct_rows` groups characters whose
-values agree.
+values agree.  Convolutions in the integer group algebra are gathers
+over `AbelianGroup.sub_table()` where they are needed; the
+group-algebra element class is test-side code in tests/reference.py.
 """
 
 from __future__ import annotations
 
 import functools as ft
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .cyclotomic import euler_phi, reduce_root_counts
-from .errors import SpecError
-from .groups import GROUP_CACHE_SIZE, AbelianGroup, GroupElement
+from .groups import GROUP_CACHE_SIZE, AbelianGroup
 
 CHARACTER_CHUNK_ENTRIES = 1 << 18  # int64 entries per character_values temporary
-
-
-class AlgebraElement:
-    """sum_g coeffs[g] * g in the integral group ring Z[G]."""
-
-    __slots__ = ("group", "coeffs")
-
-    def __init__(self, group: AbelianGroup, coeffs: Sequence[int]):
-        vec = np.asarray(coeffs, dtype=np.int64)
-        if vec.shape != (group.order,):
-            raise SpecError(f"expected {group.order} coefficients, got shape {vec.shape}")
-        self.group = group
-        self.coeffs = vec
-
-    @classmethod
-    def from_set(cls, group: AbelianGroup, elements: Iterable[Union[GroupElement, int]]) -> "AlgebraElement":
-        vec = np.zeros(group.order, dtype=np.int64)
-        for e in elements:
-            i = e if isinstance(e, (int, np.integer)) else group.index(e)
-            if not 0 <= i < group.order:
-                raise SpecError(f"element index {i} out of range")
-            vec[i] += 1
-        if vec.max(initial=0) > 1:
-            raise SpecError("from_set expects distinct elements")
-        return cls(group, vec)
-
-    @classmethod
-    def unit(cls, group: AbelianGroup) -> "AlgebraElement":
-        vec = np.zeros(group.order, dtype=np.int64)
-        vec[group.index(group.zero)] = 1
-        return cls(group, vec)
-
-    def _same_group(self, other: "AlgebraElement") -> None:
-        if self.group != other.group:
-            raise SpecError("algebra elements belong to different groups")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._same_group(other)
-        return AlgebraElement(self.group, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._same_group(other)
-        return AlgebraElement(self.group, self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.group, -self.coeffs)
-
-    def __rmul__(self, k: int) -> "AlgebraElement":
-        if not isinstance(k, (int, np.integer)):
-            return NotImplemented
-        return AlgebraElement(self.group, int(k) * self.coeffs)
-
-    def __mul__(self, other) -> "AlgebraElement":
-        if isinstance(other, (int, np.integer)):
-            return self.__rmul__(other)
-        self._same_group(other)
-        sub = self.group.sub_table()
-        # (a b)[t] = sum_g a[g] b[t - g]
-        return AlgebraElement(self.group, other.coeffs[sub] @ self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.group == other.group
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group.moduli, self.coeffs.tobytes()))
-
-    def reversed(self) -> "AlgebraElement":
-        """Image under g -> -g."""
-        return AlgebraElement(self.group, self.coeffs[self.group.neg_table()])
-
-    def coeff(self, g: GroupElement) -> int:
-        return int(self.coeffs[self.group.index(g)])
-
-    def support(self) -> Tuple[GroupElement, ...]:
-        els = self.group.elements()
-        return tuple(els[i] for i in np.flatnonzero(self.coeffs))
-
-    def __repr__(self) -> str:
-        terms = [f"{int(c)}*{els}" for els, c in zip(self.group.elements(), self.coeffs) if c]
-        return " + ".join(terms) if terms else "0"
 
 
 # ---------------------------------------------------------------------------

@@ -337,9 +337,11 @@ class DRGRecord:
     def count(self) -> int:
         return len(self.members)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, names: Dict[Tuple[int, ...], str]) -> dict:
+        """names maps the coordinates of each group element to its
+        format_element string (`_element_names`)."""
         return {
-            "connection": [format_element(e) for e in self.connection],
+            "connection": [names[e.coords] for e in self.connection],
             "family": self.family.kind,
             "parameters": dict(self.family.params),
             "intersection_array": self.array.to_dict(),
@@ -350,7 +352,7 @@ class DRGRecord:
                 "primitive": self.primitive,
             },
             "count": self.count,
-            "members": [[format_element(e) for e in m] for m in self.members],
+            "members": [[names[e.coords] for e in m] for m in self.members],
         }
 
 
@@ -378,6 +380,7 @@ class ClassificationReport:
     def to_dict(self) -> dict:
         """Run parameters (workers, timing) are deliberately left out so
         equal searches serialize identically."""
+        names = _element_names(self.group)
         return {
             "group": str(self.group),
             "moduli": list(self.group.moduli),
@@ -386,8 +389,8 @@ class ClassificationReport:
             "screened": self.screened_sets,
             "drg": self.drg_count,
             "families": dict(self.families),
-            "anomalies": [rec.to_dict() for rec in self.anomalies],
-            "records": [rec.to_dict() for rec in self.records],
+            "anomalies": [rec.to_dict(names) for rec in self.anomalies],
+            "records": [rec.to_dict(names) for rec in self.records],
         }
 
     def to_json(self) -> str:
@@ -415,6 +418,12 @@ def aligned_rows(rows: Sequence[Tuple[str, str]]) -> str:
 def _sorted_element_tuple(group: AbelianGroup, indices: Sequence[int]) -> Tuple[GroupElement, ...]:
     els = group.elements()
     return tuple(els[i] for i in sorted(indices))
+
+
+def _element_names(group: AbelianGroup) -> Dict[Tuple[int, ...], str]:
+    """format_element of every element, keyed by its coordinates: a
+    report formats each element once, not once per member it is in."""
+    return {g.coords: format_element(g) for g in group.elements()}
 
 
 def _formatted(conn) -> List[str]:
@@ -658,7 +667,7 @@ def nonexistence_report(report: ClassificationReport) -> NonexistenceReport:
         else:
             continue
         raise InvariantViolation(
-            f"{trap} set survived: {rec.to_dict()}",
+            f"{trap} set survived: {rec.to_dict(_element_names(group))}",
             witness={
                 "connection": _formatted(rec.connection),
                 "intersection_array": rec.array.to_dict(),

@@ -1,16 +1,19 @@
-"""Exact arithmetic in rings of cyclotomic integers Z[zeta_m].
+"""Cyclotomic integers Z[zeta_m]: exact reduction of root counts and
+the values the program builds, prints and evaluates.
 
 Elements are stored as integer coordinate vectors in the power basis
 {1, x, ..., x^{phi(m)-1}} of Z[x]/(Phi_m), with zeta_m the primitive
-m-th root of unity e^{2*pi*i/m}.  Mixed conductors are combined, and
-compared for equality, by lifting to the lcm.  Values are not hashable:
-one value has coordinates at every multiple of its conductor.
+m-th root of unity e^{2*pi*i/m}.  A character sum comes in as counts of
+root powers and reduce_root_counts folds them into that basis.  Values
+compare equal to ints and to values at the same conductor, and are not
+hashable.  The ring arithmetic (sums, products, Galois action, lifting
+to a multiple conductor) is test-side code in tests/reference.py: the
+program never needs it.
 """
 
 from __future__ import annotations
 
 import functools as ft
-from math import gcd
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -148,7 +151,8 @@ def reduce_root_counts(counts: np.ndarray, m: int) -> np.ndarray:
 
 
 class CyclotomicInteger:
-    """An element of Z[zeta_m] in the power basis mod Phi_m."""
+    """An element of Z[zeta_m] in the power basis mod Phi_m, as the
+    program builds, prints and evaluates it."""
 
     __slots__ = ("conductor", "coeffs")
 
@@ -160,17 +164,6 @@ class CyclotomicInteger:
         self.conductor = conductor
         self.coeffs = co
 
-    # -- constructors -----------------------------------------------------
-    @classmethod
-    def from_int(cls, k: int) -> "CyclotomicInteger":
-        return cls(1, (int(k),))
-
-    @classmethod
-    def from_root_power(cls, m: int, e: int) -> "CyclotomicInteger":
-        """zeta_m ** e."""
-        tab = _power_table(m)
-        return cls(m, tuple(int(v) for v in tab[e % m]))
-
     @classmethod
     def from_root_counts(cls, m: int, counts: Sequence[int]) -> "CyclotomicInteger":
         """sum_e counts[e] * zeta_m^e for an integer vector over 0..m-1."""
@@ -179,43 +172,9 @@ class CyclotomicInteger:
             raise SpecError(f"expected {m} counts, got shape {cnt.shape}")
         return cls(m, tuple(int(v) for v in reduce_root_counts(cnt, m)))
 
-    # -- conversions --------------------------------------------------------
-    def lift(self, m2: int) -> "CyclotomicInteger":
-        """Rewrite at a conductor m2 that is a multiple of the current one."""
-        m = self.conductor
-        if m2 == m:
-            return self
-        if m2 % m != 0:
-            raise SpecError(f"cannot lift conductor {m} to non-multiple {m2}")
-        step = m2 // m
-        counts = [0] * m2
-        for i, a in enumerate(self.coeffs):
-            if a:
-                counts[i * step] += a
-        return CyclotomicInteger.from_root_counts(m2, counts)
-
-    def galois(self, t: int) -> "CyclotomicInteger":
-        """Image under zeta_m -> zeta_m^t; t must be coprime to the conductor."""
-        m = self.conductor
-        if gcd(t, m) != 1:
-            raise SpecError(f"galois exponent {t} not coprime to conductor {m}")
-        counts = [0] * m
-        for i, a in enumerate(self.coeffs):
-            if a:
-                counts[(i * t) % m] += a
-        return CyclotomicInteger.from_root_counts(m, counts)
-
-    def conjugate(self) -> "CyclotomicInteger":
-        return self.galois(-1 % self.conductor) if self.conductor > 1 else self
-
     @property
     def is_rational_integer(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
-
-    def as_int(self) -> int:
-        if not self.is_rational_integer:
-            raise SpecError(f"{self} is not a rational integer")
-        return self.coeffs[0]
 
     def numeric(self, dps: int = 40):
         """Complex value via mpmath at the requested working precision."""
@@ -229,69 +188,13 @@ class CyclotomicInteger:
                     total += a * mpmath.e ** (2j * mpmath.pi * i / m)
             return total
 
-    # -- ring operations ---------------------------------------------------
-    def _pair(self, other: "CyclotomicInteger") -> Tuple["CyclotomicInteger", "CyclotomicInteger"]:
-        m = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-        return self.lift(m), other.lift(m)
-
-    def __add__(self, other) -> "CyclotomicInteger":
-        other = _coerce(other)
-        a, b = self._pair(other)
-        return CyclotomicInteger(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __radd__(self, other) -> "CyclotomicInteger":
-        return self.__add__(other)
-
-    def __sub__(self, other) -> "CyclotomicInteger":
-        other = _coerce(other)
-        a, b = self._pair(other)
-        return CyclotomicInteger(a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __rsub__(self, other) -> "CyclotomicInteger":
-        return _coerce(other).__sub__(self)
-
-    def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.conductor, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other) -> "CyclotomicInteger":
-        if isinstance(other, int):
-            return CyclotomicInteger(self.conductor, tuple(other * c for c in self.coeffs))
-        other = _coerce(other)
-        a, b = self._pair(other)
-        m = a.conductor
-        phi = euler_phi(m)
-        amax = max((abs(c) for c in a.coeffs), default=0)
-        bmax = max((abs(c) for c in b.coeffs), default=0)
-        tab = _power_table(m)[: 2 * phi - 1]
-        # each convolution entry is below phi * amax * bmax
-        dtype = exact_dtype(phi * amax * bmax * _table_row_bound(m) * (2 * phi), tab)
-        conv = np.convolve(np.array(a.coeffs, dtype=dtype), np.array(b.coeffs, dtype=dtype))
-        vec = conv @ tab.astype(dtype, copy=False)
-        return CyclotomicInteger(m, tuple(int(v) for v in vec))
-
-    def __rmul__(self, other) -> "CyclotomicInteger":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "CyclotomicInteger":
-        if n < 0:
-            raise SpecError("negative powers are not in the ring")
-        out = CyclotomicInteger.from_int(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    # -- comparison -----------------------------------------------------------
     def __eq__(self, other) -> bool:
+        """Equality with an int, or with a value at the same conductor."""
         if isinstance(other, int):
             return self.is_rational_integer and self.coeffs[0] == other
-        if not isinstance(other, CyclotomicInteger):
-            return NotImplemented
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        if isinstance(other, CyclotomicInteger) and other.conductor == self.conductor:
+            return self.coeffs == other.coeffs
+        return NotImplemented
 
     def __repr__(self) -> str:
         if self.is_rational_integer:
@@ -308,14 +211,3 @@ class CyclotomicInteger:
                 parts.append(mono if a == 1 else f"-{mono}" if a == -1 else f"{a}*{mono}")
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
-
-def _coerce(value) -> CyclotomicInteger:
-    if isinstance(value, CyclotomicInteger):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return CyclotomicInteger.from_int(int(value))
-    raise SpecError(f"cannot interpret {value!r} as a cyclotomic integer")
-
-
-def zeta(m: int, e: int = 1) -> CyclotomicInteger:
-    return CyclotomicInteger.from_root_power(m, e)

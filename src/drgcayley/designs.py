@@ -1,9 +1,12 @@
 """Design-theoretic checkers attached to the Cayley graph machinery.
 
 Relative difference sets and polynomial addition sets are verified by
-exact convolution in the integer group algebra.  Direction sets of
-affine point sets over prime fields are counted exactly and checked
-against the lower bound on their size.
+exact convolution in the integer group algebra: coefficient vectors in
+index order, multiplied by one gather over the group's subtraction
+table, in int64 when a bound on the coefficients allows it and in
+Python integers otherwise.  Direction sets of affine point sets over
+prime fields are counted exactly and checked against the lower bound on
+their size.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement
+import numpy as np
+
+from .cyclotomic import exact_dtype
 from .errors import SpecError
 from .groups import (
     AbelianGroup,
@@ -22,6 +27,22 @@ from .groups import (
     is_prime,
     subgroup_from_elements,
 )
+
+
+# ---------------------------------------------------------------------------
+# Group-algebra vectors
+
+
+def _indicator(group: AbelianGroup, elements: Iterable[GroupElement], dtype) -> np.ndarray:
+    vec = np.zeros(group.order, dtype=dtype)
+    for g in elements:
+        vec[group.index(g)] = 1
+    return vec
+
+
+def _convolve(group: AbelianGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a b)[t] = sum_g a[g] b[t - g], in the dtype of the operands."""
+    return b[group.sub_table()] @ a
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +98,16 @@ def is_relative_difference_set(group: AbelianGroup, dset: Iterable[GroupElement]
     if sub.order == group.order:
         raise SpecError("forbidden subgroup must be proper")
     dd = frozenset(dset)
-    for g in dd:
-        group.index(g)
     k = len(dd)
-    a = AlgebraElement.from_set(group, dd)
-    conv = a * a.reversed()
+    a = _indicator(group, dd, np.int64)
+    conv = _convolve(group, a, a[group.neg_table()])
     r = sub.order
     outside = group.order - r
     mu: Optional[int] = None
     if k * (k - 1) % outside == 0:
         mu = k * (k - 1) // outside
     nset = sub.element_set()
-    for g in group.elements():
-        c = conv.coeff(g)
+    for g, c in zip(group.elements(), conv.tolist()):
         if g.is_zero:
             want: Optional[int] = k
         elif g in nset:
@@ -127,25 +145,27 @@ def is_polynomial_addition_set(group: AbelianGroup, dset: Iterable[GroupElement]
                                poly: Sequence[int]) -> PASCheck:
     """Evaluate poly (ascending coefficients, constant term acting on the
     identity) at the indicator sum of dset and test the result for being
-    an integer multiple of the full group sum."""
+    an integer multiple of the full group sum.
+
+    Every coefficient of D^i is nonnegative and they sum to |D|^i, so
+    sum_i |c_i| |D|^i bounds every intermediate value."""
     coeffs = [int(c) for c in poly]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) < 2:
         raise SpecError("polynomial must have degree at least 1")
     dd = frozenset(dset)
-    for g in dd:
-        group.index(g)
-    base = AlgebraElement.from_set(group, dd)
-    acc = coeffs[0] * AlgebraElement.unit(group)
-    power = AlgebraElement.unit(group)
+    dtype = exact_dtype(sum(abs(c) * len(dd) ** i for i, c in enumerate(coeffs)))
+    base = _indicator(group, dd, dtype)
+    power = _indicator(group, [group.zero], dtype)
+    acc = coeffs[0] * power
     for c in coeffs[1:]:
-        power = power * base
+        power = _convolve(group, base, power)
         if c:
             acc = acc + c * power
-    ref = acc.coeff(group.zero)
-    for g in group.elements():
-        c = acc.coeff(g)
+    acc = acc.tolist()
+    ref = acc[group.index(group.zero)]
+    for g, c in zip(group.elements(), acc):
         if c != ref:
             return PASCheck(False, None, g, c - ref)
     return PASCheck(True, ref)

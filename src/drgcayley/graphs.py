@@ -262,70 +262,6 @@ def _check(group: AbelianGroup, connection: Tuple[int, ...]) -> DRGCheck:
     return DRGCheck(True, arr, part)
 
 
-def check_distance_regular_bruteforce(graph: CayleyGraph) -> DRGCheck:
-    """Per-vertex-pair oracle: BFS from every vertex on the adjacency
-    matrix, then verify c/a/b constancy over all pairs at each distance.
-    Independent of the identity-based shortcut."""
-    n = graph.order
-    A = graph.adjacency().astype(bool)
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for u in range(n):
-        dist[u, u] = 0
-        frontier = np.zeros(n, dtype=bool)
-        frontier[u] = True
-        seen = frontier.copy()
-        level = 0
-        while frontier.any():
-            level += 1
-            nxt = A[frontier].any(axis=0) & ~seen
-            dist[u, nxt] = level
-            seen |= nxt
-            frontier = nxt
-    if (dist < 0).any():
-        return DRGCheck(False, None, None, {"disconnected": True})
-    d = int(dist.max())
-    if d == 0:
-        return DRGCheck(True, IntersectionArray((), ()), None)
-    Ai = A.astype(np.int64)
-    where = {"group": list(graph.group.moduli), "connection": graph.connection_indices().tolist()}
-    b = [0] * d
-    c = [0] * d
-    a_vals = [0] * d
-    for i in range(1, d + 1):
-        pairs = dist == i
-        if not pairs.any():
-            raise InvariantViolation(
-                "distance value skipped", witness={**where, "distance": i, "diameter": d}
-            )
-        prev = (dist == i - 1).astype(np.int64) @ Ai  # [u,v] = |N(v) at dist i-1 from u|
-        same = (dist == i).astype(np.int64) @ Ai
-        nxt = (dist == i + 1).astype(np.int64) @ Ai
-        for name, mat in (("c", prev), ("a", same), ("b", nxt)):
-            vals = mat[pairs]
-            if vals.min() != vals.max():
-                return DRGCheck(False, None, None, {"distance": i, "parameter": name})
-            if name == "c":
-                c[i - 1] = int(vals[0])
-            elif name == "b":
-                if i <= d - 1:
-                    b[i] = int(vals[0])
-                elif int(vals[0]) != 0:
-                    raise InvariantViolation(
-                        "b_d must vanish", witness={**where, "distance": i, "b_d": int(vals[0])}
-                    )
-            else:
-                a_vals[i - 1] = int(vals[0])
-    b[0] = int(A.sum(axis=1)[0])
-    deg = A.sum(axis=1)
-    if deg.min() != deg.max():
-        return DRGCheck(False, None, None, {"irregular": True})
-    arr = IntersectionArray(tuple(b), tuple(c))
-    for i in range(1, d + 1):
-        if arr.a_at(i) != a_vals[i - 1]:
-            return DRGCheck(False, None, None, {"distance": i, "parameter": "a-mismatch"})
-    return DRGCheck(True, arr, None)
-
-
 # ---------------------------------------------------------------------------
 # spectrum
 

@@ -4,8 +4,9 @@ A Schur ring is presented by a partition of the group whose indicator
 sums span a subring of the integer group algebra.  The dual ring lives
 on character-value equivalence classes; its structure constants are the
 Krein parameters of the original ring, kept in exact integers
-throughout.  A Fraction-arithmetic eigenmatrix route cross-checks the
-Krein tensor for integral schemes.
+throughout.  The Fraction-arithmetic eigenmatrix route that cross-checks
+the Krein tensor for integral schemes is test-side code in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import functools as ft
 import itertools as it
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -236,34 +236,6 @@ def _assert_krein_conditions(dual: SchurRing) -> None:
         raise InvariantViolation(
             "negative Krein parameter", witness={"i": i, "j": j, "k": k, "q": int(dual.array[i, j, k])}
         )
-
-
-def krein_via_eigenmatrix(ring: SchurRing) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
-    """Independent rational route for integral symmetric schemes:
-    q_{ij}^k = (m_i m_j / n) * sum_l P_il P_jl P_kl / k_l^2."""
-    if not ring.is_symmetric:
-        raise SpecError("eigenmatrix route requires a symmetric Schur ring")
-    group = ring.group
-    n = group.order
-    dual = dual_schur_ring(ring)
-    values = character_values(group, ring.classes)[[cls[0] for cls in dual.classes]]
-    if np.any(values[:, :, 1:] != 0):
-        raise SpecError("eigenmatrix route requires an integral scheme")
-    P = [[Fraction(int(x)) for x in row] for row in values[:, :, 0].tolist()]
-    r = ring.rank
-    mults = [len(cls) for cls in dual.classes]
-    sizes = [Fraction(len(cls)) for cls in ring.classes]
-    out = []
-    for i in range(r):
-        plane = []
-        for j in range(r):
-            row = []
-            for k in range(r):
-                total = sum(P[i][l] * P[j][l] * P[k][l] / sizes[l] ** 2 for l in range(r))
-                row.append(Fraction(mults[i] * mults[j], n) * total)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ package code: every inverse-closed set, the line graph of a transversal
 design, the atoms of a group and a graph6 decoder.  It lives here, beside
 the tests that import it, and each piece is checked there against brute
 force or a worked example.
+
+It also holds the oracles that check the package from outside its own
+code paths: the per-vertex-pair distance-regularity check and the
+Fraction-arithmetic eigenmatrix route to the Krein parameters.  And it
+holds the arithmetic the package never runs: the cyclotomic ring
+operations, as a subclass of the package's value class (`to_ring` turns
+a value the package built into one), and integer group-algebra elements.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from drgcayley.algebra import AlgebraElement, character_table
-from drgcayley.cyclotomic import CyclotomicInteger, zeta
+from drgcayley import cyclotomic
+from drgcayley.algebra import character_table, character_values
+from drgcayley.cyclotomic import _power_table, _table_row_bound, euler_phi, exact_dtype
 from drgcayley.designs import is_polynomial_addition_set, is_relative_difference_set
 from drgcayley.errors import InvariantViolation, NotConnectedError, PrecisionError, SpecError
 from drgcayley.graphs import (
@@ -47,6 +55,323 @@ from drgcayley.groups import (
     make_group,
     subgroup_from_elements,
 )
+from drgcayley.schur import SchurRing, dual_schur_ring
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic ring arithmetic
+
+
+class CyclotomicInteger(cyclotomic.CyclotomicInteger):
+    """The package's cyclotomic integer with the ring operations.  Mixed
+    conductors are combined, and compared for equality, by lifting to the
+    lcm."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_int(cls, k: int) -> "CyclotomicInteger":
+        return cls(1, (int(k),))
+
+    @classmethod
+    def from_root_power(cls, m: int, e: int) -> "CyclotomicInteger":
+        """zeta_m ** e."""
+        tab = _power_table(m)
+        return cls(m, tuple(int(v) for v in tab[e % m]))
+
+    def lift(self, m2: int) -> "CyclotomicInteger":
+        """Rewrite at a conductor m2 that is a multiple of the current one."""
+        m = self.conductor
+        if m2 == m:
+            return self
+        if m2 % m != 0:
+            raise SpecError(f"cannot lift conductor {m} to non-multiple {m2}")
+        step = m2 // m
+        counts = [0] * m2
+        for i, a in enumerate(self.coeffs):
+            if a:
+                counts[i * step] += a
+        return CyclotomicInteger.from_root_counts(m2, counts)
+
+    def galois(self, t: int) -> "CyclotomicInteger":
+        """Image under zeta_m -> zeta_m^t; t must be coprime to the conductor."""
+        m = self.conductor
+        if math.gcd(t, m) != 1:
+            raise SpecError(f"galois exponent {t} not coprime to conductor {m}")
+        counts = [0] * m
+        for i, a in enumerate(self.coeffs):
+            if a:
+                counts[(i * t) % m] += a
+        return CyclotomicInteger.from_root_counts(m, counts)
+
+    def conjugate(self) -> "CyclotomicInteger":
+        return self.galois(-1 % self.conductor) if self.conductor > 1 else self
+
+    def as_int(self) -> int:
+        if not self.is_rational_integer:
+            raise SpecError(f"{self} is not a rational integer")
+        return self.coeffs[0]
+
+    def _pair(self, other: "CyclotomicInteger") -> Tuple["CyclotomicInteger", "CyclotomicInteger"]:
+        m = math.lcm(self.conductor, other.conductor)
+        return self.lift(m), other.lift(m)
+
+    def __add__(self, other) -> "CyclotomicInteger":
+        a, b = self._pair(to_ring(other))
+        return CyclotomicInteger(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+    def __radd__(self, other) -> "CyclotomicInteger":
+        return self.__add__(other)
+
+    def __sub__(self, other) -> "CyclotomicInteger":
+        a, b = self._pair(to_ring(other))
+        return CyclotomicInteger(a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+
+    def __rsub__(self, other) -> "CyclotomicInteger":
+        return to_ring(other).__sub__(self)
+
+    def __neg__(self) -> "CyclotomicInteger":
+        return CyclotomicInteger(self.conductor, tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other) -> "CyclotomicInteger":
+        if isinstance(other, int):
+            return CyclotomicInteger(self.conductor, tuple(other * c for c in self.coeffs))
+        a, b = self._pair(to_ring(other))
+        m = a.conductor
+        phi = euler_phi(m)
+        amax = max((abs(c) for c in a.coeffs), default=0)
+        bmax = max((abs(c) for c in b.coeffs), default=0)
+        tab = _power_table(m)[: 2 * phi - 1]
+        # each convolution entry is below phi * amax * bmax
+        dtype = exact_dtype(phi * amax * bmax * _table_row_bound(m) * (2 * phi), tab)
+        conv = np.convolve(np.array(a.coeffs, dtype=dtype), np.array(b.coeffs, dtype=dtype))
+        vec = conv @ tab.astype(dtype, copy=False)
+        return CyclotomicInteger(m, tuple(int(v) for v in vec))
+
+    def __rmul__(self, other) -> "CyclotomicInteger":
+        return self.__mul__(other)
+
+    def __pow__(self, n: int) -> "CyclotomicInteger":
+        if n < 0:
+            raise SpecError("negative powers are not in the ring")
+        out = CyclotomicInteger.from_int(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            return super().__eq__(other)
+        if not isinstance(other, cyclotomic.CyclotomicInteger):
+            return NotImplemented
+        a, b = self._pair(to_ring(other))
+        return a.coeffs == b.coeffs
+
+
+def to_ring(value) -> CyclotomicInteger:
+    """An int, or a cyclotomic integer the package built, as a value with
+    the ring operations."""
+    if isinstance(value, CyclotomicInteger):
+        return value
+    if isinstance(value, cyclotomic.CyclotomicInteger):
+        return CyclotomicInteger(value.conductor, value.coeffs)
+    if isinstance(value, (int, np.integer)):
+        return CyclotomicInteger.from_int(int(value))
+    raise SpecError(f"cannot interpret {value!r} as a cyclotomic integer")
+
+
+def zeta(m: int, e: int = 1) -> CyclotomicInteger:
+    return CyclotomicInteger.from_root_power(m, e)
+
+
+# ---------------------------------------------------------------------------
+# integer group-algebra elements
+
+
+class AlgebraElement:
+    """sum_g coeffs[g] * g in the integral group ring Z[G]: an integer
+    coefficient vector indexed by group elements in index order, and
+    multiplication is convolution over the group."""
+
+    __slots__ = ("group", "coeffs")
+
+    def __init__(self, group: AbelianGroup, coeffs: Sequence[int]):
+        vec = np.asarray(coeffs, dtype=np.int64)
+        if vec.shape != (group.order,):
+            raise SpecError(f"expected {group.order} coefficients, got shape {vec.shape}")
+        self.group = group
+        self.coeffs = vec
+
+    @classmethod
+    def from_set(cls, group: AbelianGroup, elements: Iterable[Union[GroupElement, int]]) -> "AlgebraElement":
+        vec = np.zeros(group.order, dtype=np.int64)
+        for e in elements:
+            i = e if isinstance(e, (int, np.integer)) else group.index(e)
+            if not 0 <= i < group.order:
+                raise SpecError(f"element index {i} out of range")
+            vec[i] += 1
+        if vec.max(initial=0) > 1:
+            raise SpecError("from_set expects distinct elements")
+        return cls(group, vec)
+
+    @classmethod
+    def unit(cls, group: AbelianGroup) -> "AlgebraElement":
+        vec = np.zeros(group.order, dtype=np.int64)
+        vec[group.index(group.zero)] = 1
+        return cls(group, vec)
+
+    def _same_group(self, other: "AlgebraElement") -> None:
+        if self.group != other.group:
+            raise SpecError("algebra elements belong to different groups")
+
+    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        self._same_group(other)
+        return AlgebraElement(self.group, self.coeffs + other.coeffs)
+
+    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        self._same_group(other)
+        return AlgebraElement(self.group, self.coeffs - other.coeffs)
+
+    def __neg__(self) -> "AlgebraElement":
+        return AlgebraElement(self.group, -self.coeffs)
+
+    def __rmul__(self, k: int) -> "AlgebraElement":
+        if not isinstance(k, (int, np.integer)):
+            return NotImplemented
+        return AlgebraElement(self.group, int(k) * self.coeffs)
+
+    def __mul__(self, other) -> "AlgebraElement":
+        if isinstance(other, (int, np.integer)):
+            return self.__rmul__(other)
+        self._same_group(other)
+        sub = self.group.sub_table()
+        # (a b)[t] = sum_g a[g] b[t - g]
+        return AlgebraElement(self.group, other.coeffs[sub] @ self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, AlgebraElement)
+            and self.group == other.group
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.group.moduli, self.coeffs.tobytes()))
+
+    def reversed(self) -> "AlgebraElement":
+        """Image under g -> -g."""
+        return AlgebraElement(self.group, self.coeffs[self.group.neg_table()])
+
+    def coeff(self, g: GroupElement) -> int:
+        return int(self.coeffs[self.group.index(g)])
+
+    def support(self) -> Tuple[GroupElement, ...]:
+        els = self.group.elements()
+        return tuple(els[i] for i in np.flatnonzero(self.coeffs))
+
+    def __repr__(self) -> str:
+        terms = [f"{int(c)}*{els}" for els, c in zip(self.group.elements(), self.coeffs) if c]
+        return " + ".join(terms) if terms else "0"
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: per-pair distance regularity, eigenmatrix Krein route
+
+
+def check_distance_regular_bruteforce(graph: CayleyGraph) -> DRGCheck:
+    """Per-vertex-pair oracle: BFS from every vertex on the adjacency
+    matrix, then verify c/a/b constancy over all pairs at each distance.
+    Independent of the identity-based shortcut."""
+    n = graph.order
+    A = graph.adjacency().astype(bool)
+    dist = np.full((n, n), -1, dtype=np.int64)
+    for u in range(n):
+        dist[u, u] = 0
+        frontier = np.zeros(n, dtype=bool)
+        frontier[u] = True
+        seen = frontier.copy()
+        level = 0
+        while frontier.any():
+            level += 1
+            nxt = A[frontier].any(axis=0) & ~seen
+            dist[u, nxt] = level
+            seen |= nxt
+            frontier = nxt
+    if (dist < 0).any():
+        return DRGCheck(False, None, None, {"disconnected": True})
+    d = int(dist.max())
+    if d == 0:
+        return DRGCheck(True, IntersectionArray((), ()), None)
+    Ai = A.astype(np.int64)
+    where = {"group": list(graph.group.moduli), "connection": graph.connection_indices().tolist()}
+    b = [0] * d
+    c = [0] * d
+    a_vals = [0] * d
+    for i in range(1, d + 1):
+        pairs = dist == i
+        if not pairs.any():
+            raise InvariantViolation(
+                "distance value skipped", witness={**where, "distance": i, "diameter": d}
+            )
+        prev = (dist == i - 1).astype(np.int64) @ Ai  # [u,v] = |N(v) at dist i-1 from u|
+        same = (dist == i).astype(np.int64) @ Ai
+        nxt = (dist == i + 1).astype(np.int64) @ Ai
+        for name, mat in (("c", prev), ("a", same), ("b", nxt)):
+            vals = mat[pairs]
+            if vals.min() != vals.max():
+                return DRGCheck(False, None, None, {"distance": i, "parameter": name})
+            if name == "c":
+                c[i - 1] = int(vals[0])
+            elif name == "b":
+                if i <= d - 1:
+                    b[i] = int(vals[0])
+                elif int(vals[0]) != 0:
+                    raise InvariantViolation(
+                        "b_d must vanish", witness={**where, "distance": i, "b_d": int(vals[0])}
+                    )
+            else:
+                a_vals[i - 1] = int(vals[0])
+    b[0] = int(A.sum(axis=1)[0])
+    deg = A.sum(axis=1)
+    if deg.min() != deg.max():
+        return DRGCheck(False, None, None, {"irregular": True})
+    arr = IntersectionArray(tuple(b), tuple(c))
+    for i in range(1, d + 1):
+        if arr.a_at(i) != a_vals[i - 1]:
+            return DRGCheck(False, None, None, {"distance": i, "parameter": "a-mismatch"})
+    return DRGCheck(True, arr, None)
+
+
+def krein_via_eigenmatrix(ring: SchurRing) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
+    """Independent rational route for integral symmetric schemes:
+    q_{ij}^k = (m_i m_j / n) * sum_l P_il P_jl P_kl / k_l^2."""
+    if not ring.is_symmetric:
+        raise SpecError("eigenmatrix route requires a symmetric Schur ring")
+    group = ring.group
+    n = group.order
+    dual = dual_schur_ring(ring)
+    values = character_values(group, ring.classes)[[cls[0] for cls in dual.classes]]
+    if np.any(values[:, :, 1:] != 0):
+        raise SpecError("eigenmatrix route requires an integral scheme")
+    P = [[Fraction(int(x)) for x in row] for row in values[:, :, 0].tolist()]
+    r = ring.rank
+    mults = [len(cls) for cls in dual.classes]
+    sizes = [Fraction(len(cls)) for cls in ring.classes]
+    out = []
+    for i in range(r):
+        plane = []
+        for j in range(r):
+            row = []
+            for k in range(r):
+                total = sum(P[i][l] * P[j][l] * P[k][l] / sizes[l] ** 2 for l in range(r))
+                row.append(Fraction(mults[i] * mults[j], n) * total)
+            plane.append(tuple(row))
+        out.append(tuple(plane))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +787,7 @@ def delsarte_bound(graph: CayleyGraph, dps: int = 40) -> int:
     import mpmath
 
     eig = spectrum(graph, dps)
-    theta_min = eig.values[-1]
+    theta_min = to_ring(eig.values[-1])
     if eig.count == 1:
         raise SpecError("Delsarte bound needs a negative eigenvalue")
     if theta_min.is_rational_integer:
@@ -923,7 +1248,7 @@ def _certificate_d3(graph: CayleyGraph, chk: DRGCheck, base: AbelianGroup,
     eig = spectrum(graph)
     if eig.count != 4:
         raise InvariantViolation("expected exactly four distinct eigenvalues")
-    theta1, theta2, theta3 = eig.values[1], eig.values[2], eig.values[3]
+    theta1, theta2, theta3 = (to_ring(v) for v in eig.values[1:])
     if theta2 != CyclotomicInteger.from_int(-1):
         raise InvariantViolation("middle eigenvalue is not -1")
     two_delta = theta1 - theta3

@@ -23,7 +23,6 @@ from drgcayley.errors import NotConnectedError, SpecError
 from drgcayley.graphs import (
     CayleyGraph,
     check_distance_regular,
-    check_distance_regular_bruteforce,
     spectrum,
 )
 from drgcayley.groups import make_group
@@ -35,7 +34,14 @@ from drgcayley.schur import (
     q_polynomial_orderings,
 )
 
-from reference import clique_number, delsarte_bound, inverse_closed_sets, monomial_pas_search
+from reference import (
+    check_distance_regular_bruteforce,
+    clique_number,
+    delsarte_bound,
+    inverse_closed_sets,
+    monomial_pas_search,
+    to_ring,
+)
 
 TARGET_MODULI = ((3, 3), (6, 3), (9, 3), (5, 5), (12, 3), (15, 3))
 FAST_MODULI = TARGET_MODULI[:4]
@@ -137,7 +143,7 @@ def test_line_graph_parameters_and_spectra():
             assert chk.array == srg_array(r * (p - 1), p + r * r - 3 * r, r * r - r)
             eig = spectrum(built.graph)
             assert all(v.is_rational_integer for v in eig.values)
-            assert [v.as_int() for v in eig.values] == [r * (p - 1), p - r, -r]
+            assert [to_ring(v).as_int() for v in eig.values] == [r * (p - 1), p - r, -r]
             assert eig.multiplicities[0] == 1
             assert sum(eig.multiplicities) == p * p
 

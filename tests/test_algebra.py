@@ -3,12 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgcayley.algebra import AlgebraElement, character_table, character_values
-from drgcayley.cyclotomic import CyclotomicInteger, euler_phi, zeta
+from drgcayley.algebra import character_table, character_values
+from drgcayley.cyclotomic import euler_phi
 from drgcayley.errors import SpecError
 from drgcayley.groups import make_group
 
-from reference import fourier_coefficient, fourier_inverse, fourier_transform
+from reference import (
+    AlgebraElement,
+    CyclotomicInteger,
+    fourier_coefficient,
+    fourier_inverse,
+    fourier_transform,
+    zeta,
+)
 
 
 def test_convolution_hand_values():

@@ -265,6 +265,20 @@ def test_design_pas(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("poly, level", [
+    (",".join(["0"] * 64 + ["1"]), 2**63),  # (Z_2)^64 = 2^63 Z_2
+    (",".join(["0"] * 65 + ["1"]), 2**64),
+    ("0,9223372036854775808", 2**63),  # a coefficient beyond int64
+])
+def test_design_pas_levels_beyond_int64(capsys, poly, level):
+    code, out, _ = invoke(capsys, "design", "pas", "--group", "2", "--set", "0;1", "--poly", poly)
+    assert code == 0
+    assert out == f"polynomial addition set confirmed with level {level}\n"
+    code, data = invoke_json(capsys, "design", "pas", "--group", "2", "--set", "0;1", "--poly", poly)
+    assert code == 0
+    assert data["ok"] is True and data["m"] == level
+
+
 def test_design_directions(capsys):
     code, data = invoke_json(capsys, "design", "directions", "--prime", "5",
                              "--points", "0,0;1,2;2,4")

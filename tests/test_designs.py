@@ -6,8 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from drgcayley.algebra import AlgebraElement, character_table
-from drgcayley.cyclotomic import CyclotomicInteger, zeta
+from drgcayley.algebra import character_table
 from drgcayley.designs import (
     direction_bound_check,
     directions,
@@ -19,6 +18,8 @@ from drgcayley.graphs import CayleyGraph
 from drgcayley.groups import all_subgroups, make_group
 
 from reference import (
+    AlgebraElement,
+    CyclotomicInteger,
     _character_value_branches,
     _power_identity_residuals,
     _sqrt_in_cyclotomic,
@@ -28,6 +29,7 @@ from reference import (
     ma_decompose,
     monomial_pas_search,
     rds_order_constraint,
+    zeta,
 )
 
 

@@ -17,10 +17,11 @@ from drgcayley.graphs import (
     DRGCheck,
     IntersectionArray,
     check_distance_regular,
-    check_distance_regular_bruteforce,
     distance_partition,
 )
 from drgcayley.groups import make_group
+
+from reference import check_distance_regular_bruteforce
 
 from test_graphs import complete_graph, crown_graph_z6z3, cycle_graph, hypercube4, srg942
 from test_schur import SMALL_GROUPS, _orbits

@@ -5,11 +5,14 @@ of ``classify_group(SearchSpec(make_group(moduli))).to_json()`` as the
 per-automorphism reference implementation produced it.  Any change that
 alters a report's bytes shows here.
 
-tests/golden/cli_digests.json maps "<command> <graph> <format>" to the
-SHA-256 of the stdout of `drgcayley --format <format> <command>` for the
-schur, krein and dual commands on three graphs, as recorded before the
-Schur and Krein structure constants were kept as arrays only.  CI checks
-the text krein and dual digests through the console script as well.
+tests/golden/cli_digests.json maps "<command> <case> <format>" to the
+SHA-256 of the stdout of `drgcayley --format <format> <command>` on the
+inputs CLI_CASES names.  The schur, krein and dual digests on three graphs
+were recorded before the Schur and Krein structure constants were kept as
+arrays only; the spectrum and design digests were recorded before the
+cyclotomic ring arithmetic and the group-algebra class left the package.
+CI checks the text krein, dual and spectrum digests through the console
+script as well.
 
 Z7X7_DIGEST is the SHA-256 of the Z_7 x Z_7 report at max_subsets 2^24,
 above the default limit, as the per-survivor canonical form produced it:
@@ -30,10 +33,17 @@ from drgcayley.groups import make_group
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "classify_digests.json").read_text())
 CLI_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_digests.json").read_text())
 Z7X7_DIGEST = "8b08fa1fafa5f03e72130116a7ae0e85744a52b3f207fc4a14552b305eed8ad6"
-CLI_GRAPHS = {
-    "paley-z13": ("13", "1;3;4;9;10;12"),
-    "cube-z2x2x2x2": ("2,2,2,2", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"),
-    "crown-z6x3": ("6,3", "crown:a=3,0"),
+# case -> (group, set, further arguments, exit code)
+CLI_CASES = {
+    "paley-z13": ("13", "1;3;4;9;10;12", (), 0),
+    "cube-z2x2x2x2": ("2,2,2,2", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1", (), 0),
+    "crown-z6x3": ("6,3", "crown:a=3,0", (), 0),
+    "cycle-z7": ("7", "1;6", (), 0),
+    "cycle-z7-dps60": ("7", "1;6", ("--precision", "60"), 0),
+    "rds-z2x4": ("2,4", "0,0;0,1;1,0;1,3", ("--forbidden", "0,2"), 0),
+    "rds-z2x4-refused": ("2,4", "0,0;0,1;1,0", ("--forbidden", "0,2"), 1),
+    "pas-z7": ("7", "1;2;4", ("--poly", "2,1,1"), 0),
+    "pas-z7-refused": ("7", "1;2;4", ("--poly", "0,1"), 1),
 }
 
 
@@ -50,9 +60,9 @@ def test_raised_limit_report_matches_golden_digest():
 
 @pytest.mark.parametrize("key", sorted(CLI_GOLDEN))
 def test_cli_output_matches_golden_digest(key, capsys):
-    command, graph, fmt = key.split()
-    group, connection = CLI_GRAPHS[graph]
-    assert run(["--format", fmt, command, "--group", group, "--set", connection]) == 0
+    command, case, fmt = key.rsplit(" ", 2)
+    group, connection, extra, code = CLI_CASES[case]
+    assert run(["--format", fmt, *command.split(), "--group", group, "--set", connection, *extra]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_GOLDEN[key]
 
 

@@ -21,7 +21,6 @@ from drgcayley.schur import (
     dual_graph,
     dual_schur_ring,
     krein_parameters,
-    krein_via_eigenmatrix,
     q_polynomial_orderings,
     verify_schur_ring,
 )
@@ -35,7 +34,7 @@ from test_graphs import (
     srg942,
     taylor_cover_z2_5,
 )
-from reference import atoms
+from reference import atoms, krein_via_eigenmatrix
 
 
 def tensor_parity_vanishing(tensor) -> bool:

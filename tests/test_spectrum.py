@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from drgcayley import cyclotomic, graphs, schur
 from drgcayley.algebra import character_values, distinct_rows
 from drgcayley.classify import verify_circulant_theorem
-from drgcayley.cyclotomic import CyclotomicInteger
 from drgcayley.errors import InvariantViolation, PrecisionError, SpecError
 from drgcayley.graphs import EIGENVALUE_GATE, CayleyGraph, Eigensystem, check_distance_regular, spectrum
 from drgcayley.groups import make_group
 
+from reference import CyclotomicInteger, to_ring
 from test_drg_check import _inverse_closed_sets
 from test_graphs import cycle_graph, hypercube4, srg942
 
@@ -71,6 +71,7 @@ def reference_eigensystem_invariants(graph, values, mults) -> None:
     n = graph.group.order
     if sum(mults) != n:
         raise InvariantViolation("eigenvalue multiplicities must sum to the order")
+    values = [to_ring(v) for v in values]
     tr = sum((m * v for m, v in zip(mults, values)), CyclotomicInteger.from_int(0))
     if tr != 0:
         raise InvariantViolation("eigenvalues must sum to zero (trace)")
