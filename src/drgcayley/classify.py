@@ -150,7 +150,7 @@ class _ScanTables:
             )
         outside_masks = []
         for sub in maximal_subgroups(group):
-            members = set(sub.indices())
+            members = set(sub.indices)
             mask = 0
             for j, orb in enumerate(basis):
                 if orb[0] not in members:

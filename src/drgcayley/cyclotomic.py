@@ -167,9 +167,10 @@ class CyclotomicInteger:
     @classmethod
     def from_root_counts(cls, m: int, counts: Sequence[int]) -> "CyclotomicInteger":
         """sum_e counts[e] * zeta_m^e for an integer vector over 0..m-1."""
-        cnt = np.asarray(counts)
+        cnt = np.array(counts, dtype=object)
         if cnt.shape != (m,):
             raise SpecError(f"expected {m} counts, got shape {cnt.shape}")
+        cnt = cnt.astype(exact_dtype(int(np.abs(cnt).max(initial=0))))
         return cls(m, tuple(int(v) for v in reduce_root_counts(cnt, m)))
 
     @property

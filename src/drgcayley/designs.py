@@ -28,6 +28,8 @@ from .groups import (
     subgroup_from_elements,
 )
 
+MAX_PAS_WORK = 1 << 25  # degree x |G|^2 x 64-bit words of the largest value
+
 
 # ---------------------------------------------------------------------------
 # Group-algebra vectors
@@ -148,14 +150,22 @@ def is_polynomial_addition_set(group: AbelianGroup, dset: Iterable[GroupElement]
     an integer multiple of the full group sum.
 
     Every coefficient of D^i is nonnegative and they sum to |D|^i, so
-    sum_i |c_i| |D|^i bounds every intermediate value."""
+    sum_i |c_i| |D|^i bounds every intermediate value.  Each degree costs a
+    |G| x |G| product of such values: above MAX_PAS_WORK, SpecError."""
     coeffs = [int(c) for c in poly]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) < 2:
         raise SpecError("polynomial must have degree at least 1")
     dd = frozenset(dset)
-    dtype = exact_dtype(sum(abs(c) * len(dd) ** i for i, c in enumerate(coeffs)))
+    degree = len(coeffs) - 1
+    work = degree * group.order**2
+    if work <= MAX_PAS_WORK:  # else refuse before the bound's long sum
+        bound = sum(abs(c) * len(dd) ** i for i, c in enumerate(coeffs))
+        work *= 1 + bound.bit_length() // 64
+    if work > MAX_PAS_WORK:
+        raise SpecError(f"degree {degree} over order {group.order} needs over {MAX_PAS_WORK} units of work")
+    dtype = exact_dtype(bound)
     base = _indicator(group, dd, dtype)
     power = _indicator(group, [group.zero], dtype)
     acc = coeffs[0] * power

@@ -4,19 +4,22 @@ A group is a list of moduli [n_1, ..., n_r]; elements are coordinate
 tuples of residues.  Elements are enumerated lexicographically and hot
 paths work with the integer index of an element in that enumeration.
 
-A group's derived tables (elements, index tables, subgroup lattice,
-automorphisms and their canonical-form keys) are memoised per moduli:
-groups compare and hash by their moduli, so equal groups share one copy.
-Shared arrays are returned read-only.
+A subgroup is the sorted index set of its elements, with no generating
+set; the maximal ones are kernels of maps onto Z_p, found without the
+subgroup lattice, which only the catalogs build.  A group's derived
+tables (elements, index tables, subgroup lattice, automorphisms and their
+canonical-form keys) are memoised per moduli: groups compare and hash by
+their moduli, so equal groups share one copy.  Shared arrays are returned
+read-only.
 """
 
 from __future__ import annotations
 
 import functools as ft
 import itertools as it
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, prod
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -257,35 +260,34 @@ def format_element(g: GroupElement) -> str:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its (sorted) element tuple inside a parent group."""
+    """A subgroup of a parent group, as the ascending indices of its
+    elements; subgroups with the same elements are equal."""
 
     group: AbelianGroup
-    elements: Tuple[GroupElement, ...]
-    generators: Tuple[GroupElement, ...]
-    _members: FrozenSet[GroupElement] = field(init=False, compare=False, repr=False)
+    indices: Tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.elements))
+    @property
+    def elements(self) -> Tuple[GroupElement, ...]:
+        els = self.group.elements()
+        return tuple(els[i] for i in self.indices)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g in self._members
+        return g in self.element_set()
+
+    @ft.cached_property
+    def _members(self) -> FrozenSet[GroupElement]:
+        return frozenset(self.elements)
 
     def element_set(self) -> FrozenSet[GroupElement]:
         return self._members
 
-    def indices(self) -> Tuple[int, ...]:
-        return tuple(self.group.index(g) for g in self.elements)
-
-    def __repr__(self) -> str:
-        return f"Subgroup(order={self.order}, gens={list(self.generators)})"
-
 
 def generated_subgroup(group: AbelianGroup, gens: Iterable[GroupElement]) -> Subgroup:
-    """Closure of a generating set, elements sorted in index order.
+    """Closure of a generating set.
 
     H grows one generator g at a time: H + <g> is the disjoint union of
     the cosets H + kg for k below the first multiple of g already in H,
@@ -307,74 +309,50 @@ def generated_subgroup(group: AbelianGroup, gens: Iterable[GroupElement]) -> Sub
         if len(reps) > 1:
             found = add[np.ix_(found, reps)].ravel()
             member[found] = True
-    els = group.elements()
-    return Subgroup(group, tuple(els[i] for i in np.flatnonzero(member)), gens)
+    return Subgroup(group, tuple(np.flatnonzero(member).tolist()))
 
 
 def subgroup_from_elements(group: AbelianGroup, elements: Iterable[GroupElement]) -> Subgroup:
     """Wrap a set already known to be closed; verified, violation raises."""
-    elems = tuple(sorted(set(elements), key=lambda e: e.coords))
+    elems = set(elements)
     closure = generated_subgroup(group, elems)
-    if len(closure.elements) != len(elems):
+    if closure.order != len(elems):
         raise SpecError("element set is not closed under the group operation")
-    return Subgroup(group, elems, _small_generating_set(group, elems))
-
-
-def _small_generating_set(group: AbelianGroup, elements: Sequence[GroupElement]) -> Tuple[GroupElement, ...]:
-    # greedy: biggest order first, add elements until the closure covers everything
-    target = set(elements)
-    pool = sorted(target, key=lambda e: (-group.order_of(e), e.coords))
-    gens: List[GroupElement] = []
-    covered = {group.zero}
-    for cand in pool:
-        if cand in covered:
-            continue
-        gens.append(cand)
-        covered = set(generated_subgroup(group, gens).elements)
-        if covered == target:
-            break
-    return tuple(gens)
+    return closure
 
 
 @ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def all_subgroups(group: AbelianGroup) -> Tuple[Subgroup, ...]:
-    """Every subgroup, by closing the set of cyclic subgroups under join.
+    """Every subgroup, by closing the set of cyclic subgroups under join,
+    ordered by order and then by indices.
 
     For abelian groups the join of two subgroups is the set of pairwise
     sums, so each join is one gather of the addition table; the lattice
     is closed over frozensets of element indices.
     """
     add = group.add_table()
-    # cyclic subgroups keyed by their first generator in element order
     coords = group.coords_matrix()
     mods = np.array(group.moduli, dtype=np.int64)
     strides = np.array(group._strides, dtype=np.int64)
     ks = np.arange(group.exponent, dtype=np.int64)[:, None]
-    cyclic: Dict[FrozenSet[int], int] = {}
-    for g in range(group.order):
-        cyclic.setdefault(frozenset(((ks * coords[g] % mods) @ strides).tolist()), g)
-    known: Dict[FrozenSet[int], Tuple[int, ...]] = {frozenset([0]): ()}
+    cyclic = {frozenset(((ks * coords[g] % mods) @ strides).tolist()) for g in range(group.order)}
+    known = {frozenset([0])}
     frontier = list(known)
     while frontier:
         new_frontier = []
         for hset in frontier:
-            hgens = known[hset]
             hidx = list(hset)
-            for cset, cgen in cyclic.items():
+            for cset in cyclic:
                 if cset <= hset:
                     continue
                 joined = frozenset(add[np.ix_(hidx, list(cset))].ravel().tolist())
                 if joined not in known:
-                    known[joined] = hgens + (cgen,)
+                    known.add(joined)
                     new_frontier.append(joined)
                     if len(known) > MAX_SUBGROUPS:
                         raise SpecError("subgroup lattice too large to enumerate")
         frontier = new_frontier
-    els = group.elements()
-    return tuple(
-        Subgroup(group, tuple(els[i] for i in members), tuple(els[i] for i in gens))
-        for _, members, gens in sorted((len(h), sorted(h), gens or (0,)) for h, gens in known.items())
-    )
+    return tuple(Subgroup(group, tuple(h)) for _, h in sorted((len(h), sorted(h)) for h in known))
 
 
 def subgroups_of_order(group: AbelianGroup, k: int) -> Tuple[Subgroup, ...]:
@@ -384,12 +362,17 @@ def subgroups_of_order(group: AbelianGroup, k: int) -> Tuple[Subgroup, ...]:
 
 
 def maximal_subgroups(group: AbelianGroup) -> Tuple[Subgroup, ...]:
-    """Subgroups of prime index (the maximal ones in an abelian group)."""
-    primes = {p for p in range(2, group.order + 1) if group.order % p == 0 and is_prime(p)}
+    """Subgroups of prime index p (the maximal ones in an abelian group), by
+    p and then by indices: the kernels of the maps x -> sum a_i x_i (mod p)
+    onto Z_p, a_i = 0 where p does not divide n_i, first nonzero a_i = 1."""
+    coords = group.coords_matrix()
     out = []
-    for p in primes:
-        out.extend(subgroups_of_order(group, group.order // p))
-    return tuple(out)
+    for p in [p for p in range(2, group.order + 1) if group.order % p == 0 and is_prime(p)]:
+        cols = [i for i, n in enumerate(group.moduli) if n % p == 0]
+        maps = [a for a in it.product(range(p), repeat=len(cols)) if next((c for c in a if c), 0) == 1]
+        kernels = coords[:, cols] @ np.array(maps).T % p == 0
+        out += sorted(tuple(np.flatnonzero(z).tolist()) for z in kernels.T)
+    return tuple(Subgroup(group, h) for h in out)
 
 
 def is_prime(n: int) -> bool:
@@ -567,8 +550,3 @@ def aut_classes(
 def canonicalize_connection_set(group: AbelianGroup, indices: Iterable[int]) -> Tuple[int, ...]:
     """Lexicographically least Aut(G)-image of an index set."""
     return aut_classes(group, [indices])[0][0]
-
-
-def orbit_size(group: AbelianGroup, indices: Iterable[int]) -> int:
-    """|Aut(G)| / |Stab(S)|: the number of distinct Aut(G)-images of S."""
-    return aut_classes(group, [indices])[0][2]

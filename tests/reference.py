@@ -523,6 +523,20 @@ def _snf_check(A, S, U, V) -> None:
                 raise InvariantViolation("Smith normal form is not diagonal")
 
 
+def generating_set(sub: Subgroup) -> Tuple[GroupElement, ...]:
+    """A small generating set of a subgroup, read off its elements: the
+    elements in order of decreasing element order (then coordinates),
+    each kept when it is not yet in the closure of those before it."""
+    group = sub.group
+    gens: List[GroupElement] = []
+    covered = {group.zero}
+    for cand in sorted(sub.elements, key=lambda e: (-group.order_of(e), e.coords)):
+        if cand not in covered:
+            gens.append(cand)
+            covered = generated_subgroup(group, gens).element_set()
+    return tuple(gens)
+
+
 def quotient_group(group: AbelianGroup, sub: Subgroup) -> Tuple[AbelianGroup, Callable[[GroupElement], GroupElement]]:
     """Quotient G/H as an explicit product of cyclic groups plus the
     projection map.  Moduli come from the SNF of the relation lattice."""
@@ -534,7 +548,7 @@ def quotient_group(group: AbelianGroup, sub: Subgroup) -> Tuple[AbelianGroup, Ca
         col = [0] * r
         col[i] = n
         rel_cols.append(col)
-    for g in sub.generators:
+    for g in generating_set(sub):
         rel_cols.append(list(g.coords))
     if r == 0:
         q = AbelianGroup([])
@@ -570,7 +584,7 @@ def subgroup_as_group(sub: Subgroup) -> Tuple[AbelianGroup, Dict[GroupElement, G
     Returns (K, iso) with iso a bijection from subgroup elements onto K.
     """
     group = sub.group
-    gens = [g for g in sub.generators if not g.is_zero]
+    gens = list(generating_set(sub))
     if not gens:
         triv = AbelianGroup([])
         return triv, {group.zero: triv.zero}

@@ -279,6 +279,17 @@ def test_design_pas_levels_beyond_int64(capsys, poly, level):
     assert data["ok"] is True and data["m"] == level
 
 
+def test_design_pas_over_the_work_bound_fails_fast(capsys):
+    # x^5000 on Z_127 with D = {1..63}: 5000 * 127^2 > MAX_PAS_WORK
+    dset = ";".join(str(i) for i in range(1, 64))
+    poly = ",".join(["0"] * 5000 + ["1"])
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "design", "pas", "--group", "127", "--set", dset, "--poly", poly)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "units of work" in err
+
+
 def test_design_directions(capsys):
     code, data = invoke_json(capsys, "design", "directions", "--prime", "5",
                              "--points", "0,0;1,2;2,4")

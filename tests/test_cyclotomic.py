@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drgcayley import cyclotomic
 from drgcayley.cyclotomic import _power_table, cyclotomic_polynomial, divisors, euler_phi
 from drgcayley.errors import SpecError
 
@@ -117,6 +118,15 @@ def test_from_root_counts_matches_sum():
     a = CyclotomicInteger.from_root_counts(9, counts)
     b = sum((c * zeta(9, e) for e, c in enumerate(counts)), CyclotomicInteger.from_int(0))
     assert a == b
+
+
+@pytest.mark.parametrize("counts, coeffs", [
+    ([2**63 + 5, 0, 0], (2**63 + 5, 0)),  # uint64 under np.asarray
+    ([0, 0, 2**63 + 5], (-(2**63 + 5), -(2**63 + 5))),  # zeta^2 = -1 - zeta
+    ([-(2**63 + 5), 0, 0], (-(2**63 + 5), 0)),
+])
+def test_from_root_counts_beyond_int64_is_exact(counts, coeffs):
+    assert cyclotomic.CyclotomicInteger.from_root_counts(3, counts).coeffs == coeffs
 
 
 def test_big_coefficient_fallback_is_exact():

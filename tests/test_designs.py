@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from drgcayley import designs
 from drgcayley.algebra import character_table
 from drgcayley.designs import (
     direction_bound_check,
@@ -183,6 +184,19 @@ def test_pas_degree_guard():
     for poly in ([], [3], [1, 0, 0]):
         with pytest.raises(SpecError):
             is_polynomial_addition_set(g, els(g, [[1]]), poly)
+
+
+@pytest.mark.parametrize("moduli, dset, poly, work", [
+    ([7], [[1], [2], [4]], [0, 0, 1], 2 * 49),  # values below 2^62: one word
+    ([2], [[0], [1]], [0] * 64 + [1], 64 * 4 * 2),  # 2^64 has 65 bits: two words
+])
+def test_pas_work_bound_is_exact(monkeypatch, moduli, dset, poly, work):
+    g = make_group(moduli)
+    monkeypatch.setattr(designs, "MAX_PAS_WORK", work)
+    assert is_polynomial_addition_set(g, els(g, dset), poly) is not None
+    monkeypatch.setattr(designs, "MAX_PAS_WORK", work - 1)
+    with pytest.raises(SpecError, match="units of work"):
+        is_polynomial_addition_set(g, els(g, dset), poly)
 
 
 def test_pas_punctured_group_powers():

@@ -7,12 +7,14 @@ alters a report's bytes shows here.
 
 tests/golden/cli_digests.json maps "<command> <case> <format>" to the
 SHA-256 of the stdout of `drgcayley --format <format> <command>` on the
-inputs CLI_CASES names.  The schur, krein and dual digests on three graphs
-were recorded before the Schur and Krein structure constants were kept as
-arrays only; the spectrum and design digests were recorded before the
-cyclotomic ring arithmetic and the group-algebra class left the package.
-CI checks the text krein, dual and spectrum digests through the console
-script as well.
+inputs CLI_CASES names; the search commands take no connection set.  The
+schur, krein and dual digests on three graphs were recorded before the
+Schur and Krein structure constants were kept as arrays only; the
+spectrum and design digests were recorded before the cyclotomic ring
+arithmetic and the group-algebra class left the package; the check,
+construct and verify digests were recorded before subgroups lost their
+generating sets.  CI checks the text check, krein, dual and spectrum
+digests through the console script as well.
 
 Z7X7_DIGEST is the SHA-256 of the Z_7 x Z_7 report at max_subsets 2^24,
 above the default limit, as the per-survivor canonical form produced it:
@@ -33,11 +35,15 @@ from drgcayley.groups import make_group
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "classify_digests.json").read_text())
 CLI_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_digests.json").read_text())
 Z7X7_DIGEST = "8b08fa1fafa5f03e72130116a7ae0e85744a52b3f207fc4a14552b305eed8ad6"
-# case -> (group, set, further arguments, exit code)
+# case -> (group, set or None, further arguments, exit code)
 CLI_CASES = {
     "paley-z13": ("13", "1;3;4;9;10;12", (), 0),
     "cube-z2x2x2x2": ("2,2,2,2", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1", (), 0),
     "crown-z6x3": ("6,3", "crown:a=3,0", (), 0),
+    "multipartite-z6x3": ("6,3", "multipartite:H=0,1", (), 0),
+    "tdlg-z5x5": ("5,5", "tdlg:r=2", (), 0),
+    "z5x5": ("5,5", None, (), 0),
+    "z12": ("12", None, (), 0),
     "cycle-z7": ("7", "1;6", (), 0),
     "cycle-z7-dps60": ("7", "1;6", ("--precision", "60"), 0),
     "rds-z2x4": ("2,4", "0,0;0,1;1,0;1,3", ("--forbidden", "0,2"), 0),
@@ -62,7 +68,9 @@ def test_raised_limit_report_matches_golden_digest():
 def test_cli_output_matches_golden_digest(key, capsys):
     command, case, fmt = key.rsplit(" ", 2)
     group, connection, extra, code = CLI_CASES[case]
-    assert run(["--format", fmt, *command.split(), "--group", group, "--set", connection, *extra]) == code
+    if connection is not None:
+        extra = ("--set", connection, *extra)
+    assert run(["--format", fmt, *command.split(), "--group", group, *extra]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_GOLDEN[key]
 
 

@@ -1,9 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgcayley import groups
+from drgcayley import classify, groups
 from drgcayley.algebra import character_table
 from drgcayley.classify import SearchSpec, classify_group
 from drgcayley.errors import SpecError
@@ -13,6 +16,7 @@ from drgcayley.groups import (
     automorphisms,
     canonicalize_connection_set,
     generated_subgroup,
+    is_prime,
     make_group,
     maximal_subgroups,
     parse_element,
@@ -321,12 +325,24 @@ def test_subgroup_value_semantics():
     g = make_group([6, 3])
     x, y = g.element([2, 0]), g.element([0, 1])
     h = generated_subgroup(g, [x, y])
-    twin = Subgroup(g, h.elements, h.generators)
+    twin = Subgroup(g, h.indices)
     assert twin == h and hash(twin) == hash(h)
-    assert Subgroup(g, h.elements, (y, x)) != h
+    assert h.indices == tuple(e.index for e in h.elements) == tuple(sorted(h.indices))
     assert h.element_set() == frozenset(h.elements) == twin.element_set()
+    assert h.element_set() is h.element_set()
     assert y in h and g.element([1, 0]) not in h
-    assert repr(h) == f"Subgroup(order=9, gens={[x, y]})"
+    assert h.order == 9
+
+
+def test_subgroups_with_equal_elements_are_equal():
+    g = make_group([6, 3])
+    a = generated_subgroup(g, [g.element([2, 0]), g.element([0, 1])])
+    b = generated_subgroup(g, [g.element([4, 0]), g.element([2, 2])])
+    c = subgroup_from_elements(g, reversed(a.elements))
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    assert a != generated_subgroup(g, [g.element([2, 0])])
+    assert a != Subgroup(make_group([18]), a.indices)
 
 
 # -- property-based checks -------------------------------------------------------
@@ -391,35 +407,26 @@ def test_generated_subgroup_matches_bfs_closure(data):
     gens = [group.from_index(i) for i in idx]
     sub = generated_subgroup(group, gens)
     assert sub.elements == _bfs_closure(group, gens)
-    assert sub.generators == tuple(gens)
 
 
 def reference_all_subgroups(group):
     """The lattice closed over sets of elements, one Python sum per pair."""
-    cyclic = {}
-    for g in group.elements():
-        h = generated_subgroup(group, [g])
-        cyclic.setdefault(h.element_set(), g)
-    known = {frozenset([group.zero]): tuple()}
+    cyclic = {generated_subgroup(group, [g]).element_set() for g in group.elements()}
+    known = {frozenset([group.zero])}
     frontier = list(known)
     while frontier:
         new_frontier = []
         for hset in frontier:
-            hgens = known[hset]
-            for cset, cgen in cyclic.items():
+            for cset in cyclic:
                 if cset <= hset:
                     continue
                 joined = frozenset(a + b for a in hset for b in cset)
                 if joined not in known:
-                    known[joined] = hgens + (cgen,)
+                    known.add(joined)
                     new_frontier.append(joined)
         frontier = new_frontier
-    subs = []
-    for hset, hgens in known.items():
-        elems = tuple(sorted(hset, key=lambda e: e.coords))
-        gens = hgens if hgens else (group.zero,)
-        subs.append((elems, gens))
-    subs.sort(key=lambda h: (len(h[0]), tuple(e.coords for e in h[0])))
+    subs = [tuple(sorted(hset, key=lambda e: e.coords)) for hset in known]
+    subs.sort(key=lambda h: (len(h), tuple(e.coords for e in h)))
     return subs
 
 
@@ -428,5 +435,44 @@ def reference_all_subgroups(group):
 )
 def test_all_subgroups_match_the_element_lattice(moduli):
     group = make_group(moduli)
-    got = [(h.elements, h.generators) for h in all_subgroups(group)]
+    got = [h.elements for h in all_subgroups(group)]
     assert got == reference_all_subgroups(group)
+
+
+GOLDEN_MODULI = [
+    tuple(int(m) for m in key.split(","))
+    for key in json.loads((Path(__file__).parent / "golden" / "classify_digests.json").read_text())
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(UP_TO_64 + GOLDEN_MODULI))
+def test_maximal_subgroups_are_the_prime_index_lattice_members(moduli):
+    group = make_group(moduli)
+    want = {h.indices for h in all_subgroups(group) if is_prime(group.order // h.order)}
+    got = [h.indices for h in maximal_subgroups(group)]
+    assert len(got) == len(set(got)) and set(got) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(UP_TO_64), st.data())
+def test_subgroup_from_elements_keeps_closed_sets_and_refuses_others(moduli, data):
+    group = make_group(moduli)
+    gens = data.draw(st.lists(st.integers(0, group.order - 1), max_size=4))
+    closed = generated_subgroup(group, [group.from_index(i) for i in gens])
+    assert subgroup_from_elements(group, closed.elements) == closed
+    picked = data.draw(st.sets(st.integers(0, group.order - 1), min_size=1, max_size=8))
+    elems = [group.from_index(i) for i in picked]
+    if len(_bfs_closure(group, elems)) == len(elems):
+        assert subgroup_from_elements(group, elems).indices == tuple(sorted(picked))
+    else:
+        with pytest.raises(SpecError):
+            subgroup_from_elements(group, elems)
+
+
+@pytest.mark.parametrize("moduli", [(3, 3, 3), (2, 2, 2, 2)])
+def test_classification_builds_no_subgroup_lattice(moduli):
+    all_subgroups.cache_clear()
+    classify._tables.cache_clear()
+    classify_group(SearchSpec(make_group(moduli)))
+    assert all_subgroups.cache_info().hits + all_subgroups.cache_info().misses == 0
