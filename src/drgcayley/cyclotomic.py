@@ -21,6 +21,7 @@ import numpy as np
 from .errors import InvariantViolation, SpecError
 
 _INT64_SAFE = 1 << 62
+ROOT_CACHE_SIZE = 4096  # distinct (m, k, dps) roots of unity kept
 
 
 @ft.lru_cache(maxsize=None)
@@ -150,6 +151,17 @@ def reduce_root_counts(counts: np.ndarray, m: int) -> np.ndarray:
     return counts[..., :phi] + high @ power.astype(dtype, copy=False)
 
 
+@ft.lru_cache(maxsize=ROOT_CACHE_SIZE)
+def _root_of_unity(m: int, k: int, dps: int):
+    """zeta_m^k as mpmath evaluates e^(2 pi i k/m) at dps digits: the
+    same expression under the same precision, so a cached root is the
+    bits a fresh evaluation would give."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return mpmath.e ** (2j * mpmath.pi * k / m)
+
+
 class CyclotomicInteger:
     """An element of Z[zeta_m] in the power basis mod Phi_m, as the
     program builds, prints and evaluates it."""
@@ -186,7 +198,7 @@ class CyclotomicInteger:
             total = mpmath.mpc(0)
             for i, a in enumerate(self.coeffs):
                 if a:
-                    total += a * mpmath.e ** (2j * mpmath.pi * i / m)
+                    total += a * _root_of_unity(m, i, dps)
             return total
 
     def __eq__(self, other) -> bool:

@@ -41,15 +41,17 @@ class CayleyGraph:
 
     def __init__(self, group: AbelianGroup, connection: Iterable[GroupElement]):
         conn = frozenset(connection)
-        for s in conn:
-            group.index(s)  # raises SpecError for an element of another group
-        if any(s.is_zero for s in conn):
+        # group.index raises SpecError for an element of another group
+        idx = np.array([group.index(s) for s in conn], dtype=np.intp)
+        vec = np.zeros(group.order, dtype=np.int64)
+        vec[idx] = 1
+        if vec[0]:  # index 0 is the identity
             raise SpecError("connection set contains the identity")
-        if any(-s not in conn for s in conn):
+        if not vec[group.neg_table()[idx]].all():
             raise SpecError("connection set is not inverse closed")
         self.group = group
         self.connection = conn
-        self._cache: Dict[str, object] = {}
+        self._cache: Dict[str, object] = {"indicator": vec}
 
     # -- basics ----------------------------------------------------------
     @property
@@ -61,13 +63,7 @@ class CayleyGraph:
         return len(self.connection)
 
     def indicator(self) -> np.ndarray:
-        vec = self._cache.get("indicator")
-        if vec is None:
-            vec = np.zeros(self.group.order, dtype=np.int64)
-            for s in self.connection:
-                vec[self.group.index(s)] = 1
-            self._cache["indicator"] = vec
-        return vec  # type: ignore[return-value]
+        return self._cache["indicator"]  # type: ignore[return-value]
 
     def connection_indices(self) -> np.ndarray:
         return np.flatnonzero(self.indicator())
@@ -344,10 +340,11 @@ def _numeric_order(m: int, rows: List[List[int]], dps: int, where: dict) -> Tupl
 
     entries = []
     with mpmath.workdps(dps) if irrational else contextlib.nullcontext():
+        gate = mpmath.mpf(10) ** (-dps // 2) if irrational else None
         for u, row in enumerate(rows):
             if any(row[1:]):
                 z = CyclotomicInteger(m, row).numeric(dps)
-                if abs(z.imag) > mpmath.mpf(10) ** (-dps // 2):
+                if abs(z.imag) > gate:
                     raise InvariantViolation(
                         "real eigenvalue evaluated with a large imaginary part",
                         witness={**where, "value": repr(CyclotomicInteger(m, row)), "imag": float(z.imag)},
@@ -469,13 +466,12 @@ def detect_family(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Famil
     conn = graph.connection
     if len(conn) == n - 1:
         return FamilyLabel("complete", (("n", n),))
-    complement = frozenset(e for e in g.elements() if e not in conn)
-    try:
-        h = subgroup_from_elements(g, complement)
-        if 1 < h.order < n:
-            return FamilyLabel("multipartite", (("t", n // h.order), ("m", h.order)))
-    except SpecError:
-        pass
+    # the complement holds the identity; a nonempty finite set closed
+    # under + is a subgroup
+    outside = graph.indicator() == 0
+    comp = np.flatnonzero(outside)
+    if 1 < comp.size < n and outside[g.add_table()[np.ix_(comp, comp)]].all():
+        return FamilyLabel("multipartite", (("t", n // comp.size), ("m", comp.size)))
     arr, part = check.array, check.partition
     if arr.is_bipartite and arr.is_antipodal and arr.d == 3 and len(part.classes[3]) == 1:
         return FamilyLabel("crown", (("m", n // 2),))

@@ -10,9 +10,11 @@ table, the order condition on relative difference sets, the filters
 that rule out monomial addition sets, Ma's coset decomposition and the
 level-set certificates of antipodal covers.  It also holds oracles for
 package code: every inverse-closed set, the line graph of a transversal
-design, the atoms of a group and a graph6 decoder.  It lives here, beside
-the tests that import it, and each piece is checked there against brute
-force or a worked example.
+design, the atoms of a group, a graph6 decoder, the complete-multipartite
+test and the connection-set validation on GroupElement sets, and the
+value of a cyclotomic integer with every root of unity evaluated afresh.
+It lives here, beside the tests that import it, and each piece is checked
+there against brute force or a worked example.
 
 It also holds the oracles that check the package from outside its own
 code paths: the per-vertex-pair distance-regularity check and the
@@ -186,6 +188,21 @@ def to_ring(value) -> CyclotomicInteger:
 
 def zeta(m: int, e: int = 1) -> CyclotomicInteger:
     return CyclotomicInteger.from_root_power(m, e)
+
+
+def numeric_direct(value: cyclotomic.CyclotomicInteger, dps: int = 40):
+    """Complex value of a cyclotomic integer at dps digits, evaluating
+    every root of unity afresh: sum_k a_k * e^(2 pi i k / m), each root
+    by the expression the package's root table caches."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        m = value.conductor
+        total = mpmath.mpc(0)
+        for i, a in enumerate(value.coeffs):
+            if a:
+                total += a * mpmath.e ** (2j * mpmath.pi * i / m)
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +393,36 @@ def krein_via_eigenmatrix(ring: SchurRing) -> Tuple[Tuple[Tuple[Fraction, ...], 
 
 # ---------------------------------------------------------------------------
 # oracles for package code: connection sets, transversal designs, atoms, graph6
+
+
+def multipartite_part(graph: CayleyGraph) -> Optional[Subgroup]:
+    """The complement of S when it is a subgroup H with 1 < |H| < |G|
+    (Cay(G, S) is then complete multipartite with the cosets of H as
+    parts), else None; by GroupElement sets and subgroup closure."""
+    g = graph.group
+    complement = frozenset(e for e in g.elements() if e not in graph.connection)
+    try:
+        h = subgroup_from_elements(g, complement)
+    except SpecError:
+        return None
+    return h if 1 < h.order < g.order else None
+
+
+def connection_set_fault(group: AbelianGroup, connection: Iterable[GroupElement]) -> Optional[str]:
+    """The SpecError message CayleyGraph(group, connection) raises, or
+    None: elements of another group first, then the identity, then
+    inverse closure, on GroupElement sets."""
+    conn = frozenset(connection)
+    for s in conn:
+        try:
+            group.index(s)
+        except SpecError as exc:
+            return str(exc)
+    if any(s.is_zero for s in conn):
+        return "connection set contains the identity"
+    if any(-s not in conn for s in conn):
+        return "connection set is not inverse closed"
+    return None
 
 
 def inverse_closed_sets(group: AbelianGroup) -> Iterator[FrozenSet[GroupElement]]:

@@ -7,7 +7,7 @@ from drgcayley import cyclotomic
 from drgcayley.cyclotomic import _power_table, cyclotomic_polynomial, divisors, euler_phi
 from drgcayley.errors import SpecError
 
-from reference import CyclotomicInteger, zeta
+from reference import CyclotomicInteger, numeric_direct, zeta
 
 
 def test_euler_phi():
@@ -100,6 +100,26 @@ def test_numeric_values():
         golden = (mpmath.sqrt(5) - 1) / 2
         assert abs(v.numeric(40) - golden) < 1e-35
         assert abs(zeta(8, 1).numeric(40) - mpmath.mpc(1, 1) / mpmath.sqrt(2)) < 1e-35
+
+
+@pytest.mark.parametrize("dps", [20, 40, 500])
+def test_numeric_from_the_root_table_is_the_direct_evaluation_bit_for_bit(dps):
+    # zeta_m^k for every m <= 64 and k < phi(m): first from a cleared
+    # table (misses), then from the filled one (hits), then again after
+    # evicting every entry
+    basis = [
+        cyclotomic.CyclotomicInteger(m, [int(i == k) for i in range(euler_phi(m))])
+        for m in range(1, 65)
+        for k in range(euler_phi(m))
+    ]
+    want = [numeric_direct(v, dps) for v in basis]
+    assert len(basis) < cyclotomic.ROOT_CACHE_SIZE
+    for evict in (True, False, True):
+        if evict:
+            cyclotomic._root_of_unity.cache_clear()
+        for v, z in zip(basis, want):
+            got = v.numeric(dps)
+            assert (got.real._mpf_, got.imag._mpf_) == (z.real._mpf_, z.imag._mpf_), (v, dps)
 
 
 def test_character_sum():

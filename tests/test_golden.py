@@ -13,8 +13,11 @@ Schur and Krein structure constants were kept as arrays only; the
 spectrum and design digests were recorded before the cyclotomic ring
 arithmetic and the group-algebra class left the package; the check,
 construct and verify digests were recorded before subgroups lost their
-generating sets.  CI checks the text check, krein, dual and spectrum
-digests through the console script as well.
+generating sets; the paley-z29 (dps 20 and 500), cycle-z33 (dps 500)
+and cycle-z5 (dps 60) spectrum digests were recorded before the roots
+of unity behind the eigenvalue order were memoised.  CI checks the text
+check, krein, dual and spectrum digests, and the dps 60 and dps 500
+spectrum digests in JSON, through the console script as well.
 
 Z7X7_DIGEST is the SHA-256 of the Z_7 x Z_7 report at max_subsets 2^24,
 above the default limit, as the per-survivor canonical form produced it:
@@ -35,6 +38,7 @@ from drgcayley.groups import make_group
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "classify_digests.json").read_text())
 CLI_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_digests.json").read_text())
 Z7X7_DIGEST = "8b08fa1fafa5f03e72130116a7ae0e85744a52b3f207fc4a14552b305eed8ad6"
+PALEY_Z29 = "1;4;5;6;7;9;13;16;20;22;23;24;25;28"  # the quadratic residues mod 29
 # case -> (group, set or None, further arguments, exit code)
 CLI_CASES = {
     "paley-z13": ("13", "1;3;4;9;10;12", (), 0),
@@ -46,6 +50,10 @@ CLI_CASES = {
     "z12": ("12", None, (), 0),
     "cycle-z7": ("7", "1;6", (), 0),
     "cycle-z7-dps60": ("7", "1;6", ("--precision", "60"), 0),
+    "cycle-z5-dps60": ("5", "1;4", ("--precision", "60"), 0),
+    "cycle-z33-dps500": ("33", "1;32", ("--precision", "500"), 0),
+    "paley-z29-dps20": ("29", PALEY_Z29, ("--precision", "20"), 0),
+    "paley-z29-dps500": ("29", PALEY_Z29, ("--precision", "500"), 0),
     "rds-z2x4": ("2,4", "0,0;0,1;1,0;1,3", ("--forbidden", "0,2"), 0),
     "rds-z2x4-refused": ("2,4", "0,0;0,1;1,0", ("--forbidden", "0,2"), 1),
     "pas-z7": ("7", "1;2;4", ("--poly", "2,1,1"), 0),

@@ -24,9 +24,12 @@ from reference import (
     bipartition_subgroup,
     check_distance_regular_bruteforce,
     clique_number,
+    connection_set_fault,
     decode_graph6,
     delsarte_bound,
     halved_graph,
+    inverse_closed_sets,
+    multipartite_part,
     quotient_by_subgroup,
     to_ring,
 )
@@ -77,16 +80,51 @@ def hypercube4():
 
 
 def test_build_validation():
+    # an element of another group first, then the identity, then inverse
+    # closure, whichever other faults the set has
     g = make_group([6, 3])
-    with pytest.raises(SpecError):
-        CayleyGraph(g, [g.element([0, 0])])
-    with pytest.raises(SpecError):
-        CayleyGraph(g, [g.element([1, 1])])  # not inverse closed
     z4 = make_group([4])
-    with pytest.raises(SpecError):
-        CayleyGraph(g, [z4.element([1]), z4.element([3])])  # elements of another group
+    zero, one, fifth = g.zero, g.element([1, 0]), g.element([5, 0])
+    foreign = f"element of {z4} used with {g}"
+    cases = [
+        ([z4.element([1])], foreign),
+        ([zero], "connection set contains the identity"),
+        ([g.element([1, 1])], "connection set is not inverse closed"),
+        ([z4.element([1]), zero], foreign),
+        ([z4.element([1]), one], foreign),
+        ([zero, one], "connection set contains the identity"),
+        ([zero, one, fifth, z4.zero], foreign),
+    ]
+    for conn, message in cases:
+        assert connection_set_fault(g, conn) == message
+        with pytest.raises(SpecError) as info:
+            CayleyGraph(g, conn)
+        assert str(info.value) == message
     gr = CayleyGraph(g, [g.element([1, 1]), g.element([5, 2])])
     assert gr.degree == 2
+
+
+@pytest.mark.parametrize("moduli, foreign", [((6,), (4,)), ((2, 4), (8,)), ((3, 3), (9,)), ((2, 3), (6,))], ids=str)
+def test_build_validation_matches_the_element_set_checks(moduli, foreign):
+    # every subset of G, and of G with one element of another group (its
+    # identity or not), against the GroupElement checks: same message,
+    # same precedence
+    g = make_group(moduli)
+    other = make_group(foreign)
+    faults = set()
+    for extra in ([], [other.zero], [other.element([1])]):
+        pool = list(g.elements()) + extra
+        for keep in it.product((False, True), repeat=len(pool)):
+            conn = [e for k, e in zip(keep, pool) if k]
+            want = connection_set_fault(g, conn)
+            faults.add(want)
+            if want is None:
+                assert CayleyGraph(g, conn).indicator().tolist() == [int(e in conn) for e in g.elements()]
+            else:
+                with pytest.raises(SpecError) as info:
+                    CayleyGraph(g, conn)
+                assert str(info.value) == want
+    assert len(faults) == 4  # accepted, foreign, identity, not inverse closed
 
 
 def test_adjacency_symmetric_zero_diagonal():
@@ -401,6 +439,30 @@ def test_family_labels():
 
     assert str(detect_family(cycle_graph(7))) == "cycle(n=7)"
     assert str(detect_family(taylor_cover_z2_5())) == "none"
+
+
+@pytest.mark.parametrize("moduli", [(12,), (2, 2, 2), (3, 3), (6, 2)], ids=str)
+def test_multipartite_label_matches_the_element_set_closure(moduli):
+    g = make_group(moduli)
+    seen = []
+    for conn in inverse_closed_sets(g):
+        graph = CayleyGraph(g, conn)
+        try:
+            if not check_distance_regular(graph).ok:
+                continue
+        except NotConnectedError:
+            continue
+        label = detect_family(graph)
+        h = multipartite_part(graph)
+        if len(conn) == g.order - 1:
+            assert label.kind == "complete"
+        elif h is not None:
+            assert label.params == (("t", g.order // h.order), ("m", h.order))
+            assert label.kind == "multipartite"
+        else:
+            assert label.kind not in ("complete", "multipartite")
+        seen.append(label.kind)
+    assert "multipartite" in seen and len(set(seen)) > 2
 
 
 # -- graph6 -------------------------------------------------------------------------------

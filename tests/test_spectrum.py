@@ -1,6 +1,6 @@
 """The exact spectrum against the mpmath-bucket code it replaced (kept
-here verbatim as a reference oracle), the per-ring memos of the Schur
-analysis, and the lazy mpmath import."""
+here as a reference oracle, its values evaluated with no root table),
+the per-ring memos of the Schur analysis, and the lazy mpmath import."""
 
 import os
 import subprocess
@@ -20,7 +20,7 @@ from drgcayley.errors import InvariantViolation, PrecisionError, SpecError
 from drgcayley.graphs import EIGENVALUE_GATE, CayleyGraph, Eigensystem, check_distance_regular, spectrum
 from drgcayley.groups import make_group
 
-from reference import CyclotomicInteger, to_ring
+from reference import CyclotomicInteger, numeric_direct, to_ring
 from test_drg_check import _inverse_closed_sets
 from test_graphs import cycle_graph, hypercube4, srg942
 
@@ -42,7 +42,7 @@ def reference_spectrum(graph: CayleyGraph, dps: int = 40) -> Eigensystem:
             val = CyclotomicInteger(g.exponent, key)
             if val != val.conjugate():
                 raise InvariantViolation("eigenvalue of an inverse-closed set must be real")
-            z = val.numeric(dps)
+            z = numeric_direct(val, dps)
             if abs(z.imag) > mpmath.mpf(10) ** (-dps // 2):
                 raise InvariantViolation("real eigenvalue evaluated with a large imaginary part")
             entries.append((float(z.real), mpmath.mpf(z.real), val, tuple(sorted(chars))))
