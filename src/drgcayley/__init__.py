@@ -39,7 +39,6 @@ from .constructions import (
     expected_catalog,
     expected_circulant_catalog,
     order_p_subgroups,
-    paley,
     td_line_graph,
 )
 from .designs import (
@@ -93,7 +92,6 @@ __all__ = [
     "make_group",
     "nonexistence_report",
     "order_p_subgroups",
-    "paley",
     "parse_element",
     "parse_element_set",
     "parse_group",

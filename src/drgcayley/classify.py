@@ -599,14 +599,18 @@ def _diff_against(report: ClassificationReport, catalog: Sequence[CatalogEntry])
     )
 
 
+def _verify(group: AbelianGroup, catalog: Sequence[CatalogEntry], workers: int, max_subsets: int) -> CatalogDiff:
+    """Exhaustively classify group and diff the report against catalog."""
+    report = classify_group(SearchSpec(group, workers=workers, max_subsets=max_subsets))
+    return _diff_against(report, catalog)
+
+
 def verify_main_theorem(
     group: AbelianGroup, workers: int = 1, max_subsets: int = MAX_SUBSETS
 ) -> CatalogDiff:
     """Exhaustively classify Z_n + Z_p and diff against the expected
     families (complete, multipartite, crown, subgroup-line unions)."""
-    catalog = expected_catalog(group)
-    report = classify_group(SearchSpec(group, workers=workers, max_subsets=max_subsets))
-    return _diff_against(report, catalog)
+    return _verify(group, expected_catalog(group), workers, max_subsets)
 
 
 def verify_circulant_theorem(
@@ -616,9 +620,7 @@ def verify_circulant_theorem(
     families (cycle, complete, multipartite, crown, Paley)."""
     if not 1 <= n <= 33:
         raise SpecError("circulant verification covers 1 <= n <= 33")
-    catalog = expected_circulant_catalog(n)
-    report = classify_group(SearchSpec(make_group([n]), workers=workers, max_subsets=max_subsets))
-    return _diff_against(report, catalog)
+    return _verify(make_group([n]), expected_circulant_catalog(n), workers, max_subsets)
 
 
 # ---------------------------------------------------------------------------

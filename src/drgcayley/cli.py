@@ -88,7 +88,7 @@ def parse_connection(group: AbelianGroup, text: str) -> frozenset:
                 f"{len(halves)} index-2 subgroups avoid {format_element(a)};"
                 " the crown shorthand needs exactly one"
             )
-        return crown(group, halves[0], a).graph.connection
+        return crown(group, halves[0], a)
     if text.startswith("tdlg:r="):
         try:
             r = int(text[len("tdlg:r="):])
@@ -99,7 +99,7 @@ def parse_connection(group: AbelianGroup, text: str) -> frozenset:
         lines = order_p_subgroups(group.moduli[0])
         if not 2 <= r <= len(lines):
             raise SpecError(f"tdlg needs 2 <= r <= {len(lines)}")
-        return td_line_graph(group.moduli[0], lines[:r]).graph.connection
+        return td_line_graph(group.moduli[0], lines[:r])
     return parse_element_set(group, text)
 
 

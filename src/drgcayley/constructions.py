@@ -1,22 +1,19 @@
-"""Generators for the catalogued graph families.
+"""The expected catalogs, and the connection sets behind the CLI's crown
+and transversal-design shorthands.
 
-Each constructor returns the graph together with its predicted intersection
-array, so callers can certify the construction independently.  The catalog
-functions enumerate every connection set the classification is expected to
-find over a given group, labelled the same way the classifier labels them.
+The catalog functions enumerate every connection set the classification
+is expected to find over a given group, labelled the same way the
+classifier labels them.  The family constructors with their predicted
+intersection arrays live beside the tests, in tests/reference.py.
 """
 
+import itertools as it
 from dataclasses import dataclass
+from math import gcd
 from typing import List, Sequence
 
 from .errors import SpecError
-from .graphs import (
-    CayleyGraph,
-    FamilyLabel,
-    IntersectionArray,
-    check_distance_regular,
-    detect_family,
-)
+from .graphs import CayleyGraph, FamilyLabel, detect_family
 from .groups import (
     AbelianGroup,
     GroupElement,
@@ -26,17 +23,6 @@ from .groups import (
     make_group,
     subgroups_of_order,
 )
-
-
-@dataclass(frozen=True)
-class Construction:
-    graph: CayleyGraph
-    predicted: IntersectionArray
-    label: FamilyLabel
-
-    def verify(self) -> bool:
-        res = check_distance_regular(self.graph)
-        return res.ok and res.array == self.predicted
 
 
 @dataclass(frozen=True)
@@ -51,30 +37,9 @@ class CatalogEntry:
         return d
 
 
-def srg_array(k: int, lam: int, mu: int) -> IntersectionArray:
-    """Intersection array of a strongly regular graph (diameter 2)."""
-    return IntersectionArray((k, k - lam - 1), (1, mu))
-
-
-def complete_graph(group: AbelianGroup) -> Construction:
-    n = group.order
-    s = [e for e in group.elements() if not e.is_zero]
-    graph = CayleyGraph(group, s)
-    arr = IntersectionArray((n - 1,), (1,)) if n > 1 else IntersectionArray((), ())
-    return Construction(graph, arr, FamilyLabel("complete", (("n", n),)))
-
-
-def complete_multipartite(group: AbelianGroup, part: Subgroup) -> Construction:
-    n = group.order
-    if not 1 < part.order < n:
-        raise SpecError("multipartite part must be a proper nontrivial subgroup")
-    t, m = n // part.order, part.order
-    s = [e for e in group.elements() if e not in part.element_set()]
-    graph = CayleyGraph(group, s)
-    return Construction(graph, srg_array((t - 1) * m, (t - 2) * m, (t - 1) * m), detect_family(graph))
-
-
-def crown(group: AbelianGroup, half: Subgroup, a: GroupElement) -> Construction:
+def crown(group: AbelianGroup, half: Subgroup, a: GroupElement) -> frozenset:
+    """The crown set: the complement of the index-2 subgroup half, minus
+    the involution a outside it."""
     n = group.order
     if n < 6:
         raise SpecError("crown needs at least 6 vertices")
@@ -82,27 +47,10 @@ def crown(group: AbelianGroup, half: Subgroup, a: GroupElement) -> Construction:
         raise SpecError("crown part must have index 2")
     if a.is_zero or not (a + a).is_zero:
         raise SpecError("matching element must be an involution")
-    if a in half.element_set():
+    members = half.element_set()
+    if a in members:
         raise SpecError("matching element must lie outside the index-2 part")
-    k = n // 2 - 1
-    s = [e for e in group.elements() if e not in half.element_set() and e != a]
-    graph = CayleyGraph(group, s)
-    return Construction(graph, IntersectionArray((k, k - 1, 1), (1, k - 1, k)), detect_family(graph))
-
-
-def cycle(n: int) -> Construction:
-    if n < 3:
-        raise SpecError("cycle needs at least 3 vertices")
-    group = make_group([n])
-    graph = CayleyGraph(group, [group.element([1]), group.element([n - 1])])
-    d = n // 2
-    if n == 3:
-        arr = IntersectionArray((2,), (1,))
-    elif n % 2 == 0:
-        arr = IntersectionArray((2,) + (1,) * (d - 1), (1,) * (d - 1) + (2,))
-    else:
-        arr = IntersectionArray((2,) + (1,) * (d - 1), (1,) * d)
-    return Construction(graph, arr, detect_family(graph))
+    return frozenset(e for e in group.elements() if e not in members and e != a)
 
 
 def order_p_subgroups(p: int) -> List[Subgroup]:
@@ -111,7 +59,9 @@ def order_p_subgroups(p: int) -> List[Subgroup]:
     return subgroups_of_order(group, p)
 
 
-def td_line_graph(p: int, subgroups: Sequence[Subgroup]) -> Construction:
+def td_line_graph(p: int, subgroups: Sequence[Subgroup]) -> frozenset:
+    """The union of 2..p+1 distinct order-p subgroups of Z_p + Z_p, less
+    the identity: the connection set of a transversal-design line graph."""
     if p == 2 or not is_prime(p):
         raise SpecError("order must be an odd prime")
     r = len(subgroups)
@@ -122,23 +72,7 @@ def td_line_graph(p: int, subgroups: Sequence[Subgroup]) -> Construction:
     for h in subgroups:
         if h.group.moduli != (p, p) or h.order != p:
             raise SpecError("every part must be an order-p subgroup of Z_p + Z_p")
-    group = subgroups[0].group
-    s = sorted({e for h in subgroups for e in h.elements if not e.is_zero})
-    graph = CayleyGraph(group, s)
-    if r == p + 1:
-        arr = IntersectionArray((p * p - 1,), (1,))
-    else:
-        arr = srg_array(r * (p - 1), p + r * r - 3 * r, r * r - r)
-    return Construction(graph, arr, detect_family(graph))
-
-
-def paley(q: int) -> Construction:
-    if not is_prime(q) or q % 4 != 1:
-        raise SpecError("Paley graph needs a prime congruent to 1 mod 4")
-    group = make_group([q])
-    s = sorted({group.element([pow(x, 2, q)]) for x in range(1, q)})
-    graph = CayleyGraph(group, s)
-    return Construction(graph, srg_array((q - 1) // 2, (q - 5) // 4, (q - 1) // 4), detect_family(graph))
+    return frozenset(e for h in subgroups for e in h.elements if not e.is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +84,41 @@ def crown_connection_sets(group: AbelianGroup) -> List[frozenset]:
     n = group.order
     if n % 2 or n < 6:
         return []
-    sets = set()
     involutions = [e for e in group.elements() if not e.is_zero and (e + e).is_zero]
-    for half in subgroups_of_order(group, n // 2):
-        members = half.element_set()
-        for a in involutions:
-            if a in members:
-                continue
-            sets.add(frozenset(e for e in group.elements() if e not in members and e != a))
+    sets = {
+        crown(group, half, a)
+        for half in subgroups_of_order(group, n // 2)
+        for a in involutions
+        if a not in half
+    }
     return sorted(sets, key=lambda s: sorted(e.coords for e in s))
 
 
-def _entry(group: AbelianGroup, conn: frozenset) -> CatalogEntry:
-    return CatalogEntry(conn, detect_family(CayleyGraph(group, conn)))
-
-
-def _sorted_entries(group: AbelianGroup, sets) -> List[CatalogEntry]:
+def _catalog(group: AbelianGroup) -> List[CatalogEntry]:
+    """The complete set, the complement of every proper nontrivial
+    subgroup and the crown sets; on Z_n also the +-g cycles (g a unit,
+    n >= 3) and the Paley pair (n a prime 1 mod 4); on Z_p + Z_p also the
+    unions of 2..p-1 order-p subgroups.  Deduplicated, ordered by size and
+    then coordinates, and labelled by detect_family."""
+    n = group.order
+    elements = group.elements()
+    sets = [frozenset(e for e in elements if not e.is_zero)]
+    for h in all_subgroups(group):
+        if 1 < h.order < n:
+            sets.append(frozenset(e for e in elements if e not in h.element_set()))
+    sets.extend(crown_connection_sets(group))
+    if group.rank == 1:
+        if n >= 3:
+            sets += [frozenset({group.element([g]), group.element([-g])}) for g in range(1, n) if gcd(g, n) == 1]
+        if is_prime(n) and n % 4 == 1:
+            squares = frozenset(group.element([pow(x, 2, n)]) for x in range(1, n))
+            sets += [squares, frozenset(e for e in elements if not e.is_zero and e not in squares)]
+    elif group.rank == 2 and group.moduli[0] == group.moduli[1]:
+        p = group.moduli[0]
+        lines = subgroups_of_order(group, p)
+        sets += [td_line_graph(p, combo) for r in range(2, p) for combo in it.combinations(lines, r)]
     uniq = sorted(set(sets), key=lambda s: (len(s), sorted(e.coords for e in s)))
-    return [_entry(group, s) for s in uniq]
+    return [CatalogEntry(s, detect_family(CayleyGraph(group, s))) for s in uniq]
 
 
 def expected_catalog(group: AbelianGroup) -> List[CatalogEntry]:
@@ -179,42 +130,11 @@ def expected_catalog(group: AbelianGroup) -> List[CatalogEntry]:
         raise SpecError("second invariant must be an odd prime")
     if n % p:
         raise SpecError("catalog needs p dividing n")
-    elements = group.elements()
-    sets = [frozenset(e for e in elements if not e.is_zero)]
-    for h in all_subgroups(group):
-        if 1 < h.order < group.order:
-            sets.append(frozenset(e for e in elements if e not in h.element_set()))
-    sets.extend(crown_connection_sets(group))
-    if n == p:
-        lines = subgroups_of_order(group, p)
-        import itertools as it
-
-        for r in range(2, p):
-            for combo in it.combinations(lines, r):
-                sets.append(frozenset(e for h in combo for e in h.elements if not e.is_zero))
-    return _sorted_entries(group, sets)
+    return _catalog(group)
 
 
 def expected_circulant_catalog(n: int) -> List[CatalogEntry]:
     """Connection sets of all distance-regular circulants on Z_n."""
     if n < 1:
         raise SpecError("order must be positive")
-    group = make_group([n])
-    elements = group.elements()
-    sets = [frozenset(e for e in elements if not e.is_zero)]
-    if n >= 3:
-        for g in range(1, n):
-            from math import gcd
-
-            if gcd(g, n) == 1:
-                sets.append(frozenset({group.element([g]), group.element([n - g])}))
-    for h in all_subgroups(group):
-        if 1 < h.order < n:
-            sets.append(frozenset(e for e in elements if e not in h.element_set()))
-    sets.extend(crown_connection_sets(group))
-    if is_prime(n) and n % 4 == 1:
-        squares = frozenset(group.element([pow(x, 2, n)]) for x in range(1, n))
-        nonsquares = frozenset(e for e in elements if not e.is_zero and e not in squares)
-        sets.append(squares)
-        sets.append(nonsquares)
-    return _sorted_entries(group, sets)
+    return _catalog(make_group([n]))

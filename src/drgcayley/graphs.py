@@ -23,9 +23,9 @@ from .groups import (
     AbelianGroup,
     GroupElement,
     Subgroup,
+    _closure,
     all_subgroups,
     format_element,
-    generated_subgroup,
     is_prime,
     subgroup_from_elements,
 )
@@ -77,7 +77,7 @@ class CayleyGraph:
         return mat  # type: ignore[return-value]
 
     def is_connected(self) -> bool:
-        return generated_subgroup(self.group, self.connection).order == self.group.order
+        return _closure(self.group, self.connection_indices()).size == self.group.order
 
     def __eq__(self, other) -> bool:
         return (
@@ -311,7 +311,7 @@ def _spectrum(group: AbelianGroup, connection: Tuple[int, ...], dps: int) -> Eig
     _eigensystem_invariants(group, len(connection), keys, counts, where)
     values = tuple(CyclotomicInteger(m, rows[u]) for u in order)
     mults = tuple(int(counts[u]) for u in order)
-    connected = generated_subgroup(group, [group.from_index(i) for i in connection]).order == group.order
+    connected = _closure(group, connection).size == group.order
     if connected and (mults[0] != 1 or values[0] != len(connection)):
         raise InvariantViolation(
             "top eigenvalue of a connected graph must be the degree, simple",

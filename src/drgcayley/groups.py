@@ -120,21 +120,6 @@ class AbelianGroup:
         self._check_member(b)
         return GroupElement(self, tuple((x + y) % n for x, y, n in zip(a.coords, b.coords, self.moduli)))
 
-    def neg(self, a: "GroupElement") -> "GroupElement":
-        self._check_member(a)
-        return GroupElement(self, tuple((-x) % n for x, n in zip(a.coords, self.moduli)))
-
-    def scale(self, k: int, a: "GroupElement") -> "GroupElement":
-        self._check_member(a)
-        return GroupElement(self, tuple((k * x) % n for x, n in zip(a.coords, self.moduli)))
-
-    def order_of(self, a: "GroupElement") -> int:
-        self._check_member(a)
-        o = 1
-        for x, n in zip(a.coords, self.moduli):
-            o = _lcm(o, n // gcd(x, n))
-        return o
-
     # -- index tables (hot-path plumbing) -----------------------------------
     @ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
     def coords_matrix(self) -> np.ndarray:
@@ -178,15 +163,6 @@ class GroupElement:
     def __add__(self, other: "GroupElement") -> "GroupElement":
         return self.group.add(self, other)
 
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.add(self, self.group.neg(other))
-
-    def __neg__(self) -> "GroupElement":
-        return self.group.neg(self)
-
-    def __rmul__(self, k: int) -> "GroupElement":
-        return self.group.scale(k, self)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupElement)
@@ -206,9 +182,6 @@ class GroupElement:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def order(self) -> int:
-        return self.group.order_of(self)
 
     @property
     def index(self) -> int:
@@ -287,20 +260,23 @@ class Subgroup:
 
 
 def generated_subgroup(group: AbelianGroup, gens: Iterable[GroupElement]) -> Subgroup:
-    """Closure of a generating set.
+    """Closure of a generating set; SpecError for another group's element."""
+    indices = [group.index(g) for g in gens]
+    return Subgroup(group, tuple(_closure(group, indices).tolist()))
+
+
+def _closure(group: AbelianGroup, gens: Iterable[int]) -> np.ndarray:
+    """Ascending indices of the subgroup generated by the elements with
+    indices gens.
 
     H grows one generator g at a time: H + <g> is the disjoint union of
     the cosets H + kg for k below the first multiple of g already in H,
     so each step is one gather of the addition table."""
-    gens = tuple(gens)
-    for g in gens:
-        group._check_member(g)
     add = group.add_table()
     member = np.zeros(group.order, dtype=bool)
     member[0] = True  # index 0 is the identity
     found = np.zeros(1, dtype=np.intp)
-    for g in gens:
-        gi = group.index(g)
+    for gi in map(int, gens):
         reps = [0]
         x = gi
         while not member[x]:
@@ -309,7 +285,7 @@ def generated_subgroup(group: AbelianGroup, gens: Iterable[GroupElement]) -> Sub
         if len(reps) > 1:
             found = add[np.ix_(found, reps)].ravel()
             member[found] = True
-    return Subgroup(group, tuple(np.flatnonzero(member).tolist()))
+    return np.flatnonzero(member)
 
 
 def subgroup_from_elements(group: AbelianGroup, elements: Iterable[GroupElement]) -> Subgroup:

@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import character_values, distinct_rows
 from .errors import InvariantViolation, SpecError
 from .graphs import CayleyGraph, DRGCheck, check_distance_regular
-from .groups import AbelianGroup, GroupElement, generated_subgroup
+from .groups import AbelianGroup, GroupElement, _closure
 
 DUAL_CACHE_SIZE = 64  # dual rings kept by dual_schur_ring
 RING_CACHE_SIZE = 8  # distance modules and Q-orderings kept; one graph's calls come back to back
@@ -59,12 +59,7 @@ class SchurRing:
 
     @property
     def is_primitive(self) -> bool:
-        els = self.group.elements()
-        for cls in self.classes[1:]:
-            gen = generated_subgroup(self.group, [els[i] for i in cls])
-            if gen.order != self.group.order:
-                return False
-        return True
+        return all(_closure(self.group, cls).size == self.group.order for cls in self.classes[1:])
 
     def partition_key(self) -> frozenset:
         return frozenset(frozenset(c) for c in self.classes)

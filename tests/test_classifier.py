@@ -23,7 +23,7 @@ from drgcayley.errors import InvariantViolation, SpecError
 from drgcayley.graphs import CayleyGraph, IntersectionArray, check_distance_regular
 from drgcayley.groups import format_element, make_group
 
-from reference import inverse_closed_sets
+from reference import inverse_closed_sets, neg
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,7 @@ def test_enumeration_is_exactly_the_inverse_closed_family(moduli):
     for r in range(len(nonzero) + 1):
         for combo in itertools.combinations(nonzero, r):
             s = frozenset(combo)
-            if all(-e in s for e in s):
+            if all(neg(e) in s for e in s):
                 brute.add(s)
     basis = inverse_pair_basis(g)
     listed = [frozenset(map(g.from_index, _mask_indices(basis, m))) for m in range(1 << len(basis))]

@@ -343,16 +343,18 @@ def test_verify_theorem_cli(capsys):
     assert code == 0
     assert data["verified"] is True
     assert data["nonexistence"]["ok"] is True
-    code, _, _ = invoke(capsys, "verify-theorem", "--group", "4,3")
-    assert code == 2
+    for group in ("4,3", "9"):
+        code, _, err = invoke(capsys, "verify-theorem", "--group", group)
+        assert code == 2 and err.startswith("error (usage)")
 
 
 def test_verify_circulant_cli(capsys):
     code, data = invoke_json(capsys, "verify-circulant", "--group", "13")
     assert code == 0
     assert data["verified"] is True
-    code, _, _ = invoke(capsys, "verify-circulant", "--group", "6,3")
-    assert code == 2
+    for group in ("6,3", "34"):
+        code, _, err = invoke(capsys, "verify-circulant", "--group", group)
+        assert code == 2 and err.startswith("error (usage)")
 
 
 def test_verify_circulant_of_the_trivial_group(capsys):

@@ -1,25 +1,32 @@
-"""Constructors and expected catalogs: every builder must certify itself."""
+"""The crown and transversal-design sets, the expected catalogs, and the
+family constructions of tests/reference.py: every builder must certify
+itself against its predicted intersection array."""
 
 import pytest
 
 from drgcayley.constructions import (
-    complete_graph,
-    complete_multipartite,
     crown,
     crown_connection_sets,
-    cycle,
     expected_catalog,
     expected_circulant_catalog,
     order_p_subgroups,
-    paley,
-    srg_array,
     td_line_graph,
 )
 from drgcayley.errors import SpecError
 from drgcayley.graphs import IntersectionArray, check_distance_regular, spectrum
 from drgcayley.groups import generated_subgroup, make_group, subgroups_of_order
 
-from reference import td_line_graph_edges, to_ring
+from reference import (
+    complete_graph,
+    complete_multipartite,
+    crown_construction,
+    cycle,
+    paley,
+    srg_array,
+    td_construction,
+    td_line_graph_edges,
+    to_ring,
+)
 
 
 def subgroup_of_order(group, k):
@@ -53,7 +60,7 @@ def test_multipartite_rejects_improper_parts():
 
 def test_crown_z6z3():
     group = make_group([6, 3])
-    c = crown(group, subgroup_of_order(group, 9), group.element([3, 0]))
+    c = crown_construction(group, subgroup_of_order(group, 9), group.element([3, 0]))
     assert c.verify()
     assert str(c.predicted) == "{8,7,1;1,7,8}"
     assert str(c.label) == "crown(m=9)"
@@ -94,20 +101,20 @@ def test_cycles():
 def test_td_line_graph_srg_9_4_1_2():
     lines = order_p_subgroups(3)
     assert len(lines) == 4
-    c = td_line_graph(3, lines[:2])
+    c = td_construction(3, lines[:2])
     assert c.verify()
     assert c.predicted == srg_array(4, 1, 2)
     assert c.label.to_dict()["parameters"] == {"p": 3, "r": 2}
 
 
 def test_td_line_graph_all_lines_is_complete():
-    c = td_line_graph(3, order_p_subgroups(3))
+    c = td_construction(3, order_p_subgroups(3))
     assert c.verify()
     assert str(c.label) == "complete(n=9)"
 
 
 def test_td_line_graph_p5_r3():
-    c = td_line_graph(5, order_p_subgroups(5)[:3])
+    c = td_construction(5, order_p_subgroups(5)[:3])
     assert c.verify()
     assert c.predicted == srg_array(12, 5, 6)
 
@@ -127,7 +134,7 @@ def test_td_line_graph_rejections():
 def test_td_line_graph_edges_match():
     for p, r in ((3, 2), (3, 3), (5, 2)):
         lines = order_p_subgroups(p)[:r]
-        graph = td_line_graph(p, lines).graph
+        graph = td_construction(p, lines).graph
         adj = graph.adjacency()
         edges = {
             frozenset((i, j))
@@ -142,7 +149,7 @@ def test_td_line_graph_spectrum():
     for p in (3, 5, 7):
         lines = order_p_subgroups(p)
         for r in range(2, p + 1):
-            eig = spectrum(td_line_graph(p, lines[:r]).graph)
+            eig = spectrum(td_construction(p, lines[:r]).graph)
             assert {to_ring(v).as_int() for v in eig.values} == {r * (p - 1), p - r, -r}
             assert sum(eig.multiplicities) == p * p
 
@@ -167,8 +174,8 @@ def test_hamming2_matches_axis_line_graph():
         generated_subgroup(group, [group.element([1, 0])]),
         generated_subgroup(group, [group.element([0, 1])]),
     ]
-    rook = td_line_graph(3, axes)
-    assert rook.graph.connection == {e for e in group.elements() if not e.is_zero and 0 in e.coords}
+    assert td_line_graph(3, axes) == {e for e in group.elements() if not e.is_zero and 0 in e.coords}
+    rook = td_construction(3, axes)
     assert rook.verify() and rook.predicted == srg_array(4, 1, 2)
 
 

@@ -29,7 +29,9 @@ from reference import (
     level_set_certificate,
     ma_decompose,
     monomial_pas_search,
+    neg,
     rds_order_constraint,
+    scale,
     zeta,
 )
 
@@ -85,7 +87,7 @@ def _difference_counts(dset):
     counts = {}
     for a in dset:
         for b in dset:
-            diff = a + (-b)
+            diff = a + neg(b)
             counts[diff] = counts.get(diff, 0) + 1
     return counts
 
@@ -363,7 +365,7 @@ def test_ma_decompose_random_recombination(moduli, p, a):
     i0 = [i for i, m in enumerate(moduli) if m % p == 0][0]
     coords = [0] * len(moduli)
     coords[i0] = moduli[i0] // p
-    pset = [k * g.element(coords) for k in range(p)]
+    pset = [scale(k, g.element(coords)) for k in range(p)]
     psum = AlgebraElement.from_set(g, pset)
     for _ in range(8):
         x1 = AlgebraElement(g, np.array([rng.randrange(4) for _ in range(g.order)]))
@@ -547,11 +549,11 @@ def _random_inverse_closed(group, rng):
     pool = [g for g in group.elements() if not g.is_zero]
     chosen = set()
     for g in pool:
-        if g in chosen or -g in chosen:
+        if g in chosen or neg(g) in chosen:
             continue
         if rng.random() < 0.5:
             chosen.add(g)
-            chosen.add(-g)
+            chosen.add(neg(g))
     return chosen
 
 
@@ -605,6 +607,6 @@ def test_layer_fourier_inversion_identity():
                     5, int(character_table(base)[g.index, l.index]))
             rhs = CyclotomicInteger.from_int(0)
             for i in range(3):
-                if -l in layers[i]:
+                if neg(l) in layers[i]:
                     rhs = rhs + zeta(3, (psi * i) % 3)
             assert lhs == 5 * rhs

@@ -19,6 +19,11 @@ of unity behind the eigenvalue order were memoised.  CI checks the text
 check, krein, dual and spectrum digests, and the dps 60 and dps 500
 spectrum digests in JSON, through the console script as well.
 
+tests/golden/catalog_digests.json maps a group's moduli to the SHA-256 of
+the sorted (connection, label) pairs of its expected catalog: the
+circulant catalog for one modulus, the Z_n + Z_p catalog for two.  They
+were recorded before the two catalogs shared one builder.
+
 Z7X7_DIGEST is the SHA-256 of the Z_7 x Z_7 report at max_subsets 2^24,
 above the default limit, as the per-survivor canonical form produced it:
 two key words per set, 247 survivors in 8 Aut(G)-classes.
@@ -33,10 +38,12 @@ import pytest
 from drgcayley import classify
 from drgcayley.cli import run
 from drgcayley.classify import SearchSpec, classify_group
-from drgcayley.groups import make_group
+from drgcayley.constructions import expected_catalog, expected_circulant_catalog
+from drgcayley.groups import format_element, make_group
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "classify_digests.json").read_text())
 CLI_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_digests.json").read_text())
+CATALOG_GOLDEN = json.loads((Path(__file__).parent / "golden" / "catalog_digests.json").read_text())
 Z7X7_DIGEST = "8b08fa1fafa5f03e72130116a7ae0e85744a52b3f207fc4a14552b305eed8ad6"
 PALEY_Z29 = "1;4;5;6;7;9;13;16;20;22;23;24;25;28"  # the quadratic residues mod 29
 # case -> (group, set or None, further arguments, exit code)
@@ -70,6 +77,19 @@ def test_report_matches_golden_digest(key):
 def test_raised_limit_report_matches_golden_digest():
     report = classify_group(SearchSpec(make_group([7, 7]), max_subsets=1 << 24))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == Z7X7_DIGEST
+
+
+@pytest.mark.parametrize("key", sorted(CATALOG_GOLDEN))
+def test_catalog_matches_golden_digest(key):
+    moduli = [int(m) for m in key.split(",")]
+    if len(moduli) == 1:
+        catalog = expected_circulant_catalog(moduli[0])
+    else:
+        catalog = expected_catalog(make_group(moduli))
+    pairs = sorted(
+        (";".join(format_element(e) for e in sorted(entry.connection)), str(entry.label)) for entry in catalog
+    )
+    assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == CATALOG_GOLDEN[key]
 
 
 @pytest.mark.parametrize("key", sorted(CLI_GOLDEN))

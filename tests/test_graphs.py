@@ -30,6 +30,7 @@ from reference import (
     halved_graph,
     inverse_closed_sets,
     multipartite_part,
+    neg,
     quotient_by_subgroup,
     to_ring,
 )
@@ -246,7 +247,7 @@ def test_bruteforce_agrees_on_random_subsets():
     pairs = []
     seen = set()
     for e in els:
-        key = frozenset((e, -e))
+        key = frozenset((e, neg(e)))
         if key not in seen:
             seen.add(key)
             pairs.append(tuple(key))
@@ -486,7 +487,7 @@ def test_graph6_roundtrip_random():
         for e in els:
             if rng.random() < 0.4:
                 s.add(e)
-                s.add(-e)
+                s.add(neg(e))
         if not s:
             continue
         gr = CayleyGraph(g, s)
