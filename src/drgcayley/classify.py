@@ -45,7 +45,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .constructions import CatalogEntry, expected_catalog, expected_circulant_catalog
+from .constructions import CatalogEntry, catalog_shape_fault, expected_catalog, expected_circulant_catalog
 from .errors import InvariantViolation, SpecError
 from .graphs import (
     CayleyGraph,
@@ -62,7 +62,6 @@ from .groups import (
     GroupElement,
     aut_classes,
     format_element,
-    is_prime,
     make_group,
     maximal_subgroups,
 )
@@ -497,7 +496,6 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
                 },
             )
         info = imprimitivity(graph, check)
-        primitive = check.array.d <= 1 or (not info.bipartite and not info.antipodal)
         records.append(
             DRGRecord(
                 connection=conn,
@@ -506,7 +504,7 @@ def classify_group(spec: SearchSpec) -> ClassificationReport:
                 eigensystem=spectrum(graph),
                 bipartite=info.bipartite,
                 antipodal=info.antipodal,
-                primitive=primitive,
+                primitive=info.primitive,
                 # index order is the elements' coordinate order
                 members=tuple(_sorted_element_tuple(group, s) for s in sorted(survivors[i] for i in members)),
             )
@@ -599,18 +597,17 @@ def _diff_against(report: ClassificationReport, catalog: Sequence[CatalogEntry])
     )
 
 
-def _verify(group: AbelianGroup, catalog: Sequence[CatalogEntry], workers: int, max_subsets: int) -> CatalogDiff:
-    """Exhaustively classify group and diff the report against catalog."""
-    report = classify_group(SearchSpec(group, workers=workers, max_subsets=max_subsets))
-    return _diff_against(report, catalog)
-
-
 def verify_main_theorem(
     group: AbelianGroup, workers: int = 1, max_subsets: int = MAX_SUBSETS
 ) -> CatalogDiff:
     """Exhaustively classify Z_n + Z_p and diff against the expected
-    families (complete, multipartite, crown, subgroup-line unions)."""
-    return _verify(group, expected_catalog(group), workers, max_subsets)
+    families (complete, multipartite, crown, subgroup-line unions).  The
+    shape and the subset limit are refused before the catalog is built."""
+    fault = catalog_shape_fault(group)
+    if fault:
+        raise SpecError(fault)
+    report = classify_group(SearchSpec(group, workers=workers, max_subsets=max_subsets))
+    return _diff_against(report, expected_catalog(group))
 
 
 def verify_circulant_theorem(
@@ -620,7 +617,8 @@ def verify_circulant_theorem(
     families (cycle, complete, multipartite, crown, Paley)."""
     if not 1 <= n <= 33:
         raise SpecError("circulant verification covers 1 <= n <= 33")
-    return _verify(make_group([n]), expected_circulant_catalog(n), workers, max_subsets)
+    report = classify_group(SearchSpec(make_group([n]), workers=workers, max_subsets=max_subsets))
+    return _diff_against(report, expected_circulant_catalog(n))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +654,7 @@ def nonexistence_report(report: ClassificationReport) -> NonexistenceReport:
     """Check the classification output for sets the theory rules out;
     finding one is a contradiction, not a result, and trips the bug trap."""
     group = report.group
-    if len(group.moduli) != 2 or group.moduli[1] == 2 or not is_prime(group.moduli[1]) or group.moduli[0] % group.moduli[1]:
+    if catalog_shape_fault(group):
         raise SpecError("nonexistence assertions apply to Z_n + Z_p with p an odd prime dividing n")
     exempt = group.moduli[0] == group.moduli[1]
     for rec in report.records:

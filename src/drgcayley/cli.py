@@ -46,10 +46,10 @@ from .groups import (
     AbelianGroup,
     format_element,
     generated_subgroup,
+    maximal_subgroups,
     parse_element,
     parse_element_set,
     parse_group,
-    subgroups_of_order,
 )
 from .schur import (
     distance_module,
@@ -82,7 +82,7 @@ def parse_connection(group: AbelianGroup, text: str) -> frozenset:
         a = parse_element(group, text[len("crown:a="):])
         if group.order % 2:
             raise SpecError("crown shorthand needs a group of even order")
-        halves = [h for h in subgroups_of_order(group, group.order // 2) if a not in h]
+        halves = [h for h in maximal_subgroups(group) if 2 * h.order == group.order and a not in h]
         if len(halves) != 1:
             raise SpecError(
                 f"{len(halves)} index-2 subgroups avoid {format_element(a)};"
@@ -184,7 +184,7 @@ def _cmd_check(args) -> Payload:
             "flags": {
                 "bipartite": info.bipartite,
                 "antipodal": info.antipodal,
-                "primitive": arr.d <= 1 or (not info.bipartite and not info.antipodal),
+                "primitive": info.primitive,
             },
         }
     )

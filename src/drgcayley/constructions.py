@@ -3,14 +3,15 @@ and transversal-design shorthands.
 
 The catalog functions enumerate every connection set the classification
 is expected to find over a given group, labelled the same way the
-classifier labels them.  The family constructors with their predicted
-intersection arrays live beside the tests, in tests/reference.py.
+classifier labels them; only they build the subgroup lattice, as the crown
+halves and the lines of Z_p + Z_p are maximal subgroups.  The family
+constructors with their predicted arrays live in tests/reference.py.
 """
 
 import itertools as it
 from dataclasses import dataclass
 from math import gcd
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import SpecError
 from .graphs import CayleyGraph, FamilyLabel, detect_family
@@ -21,7 +22,7 @@ from .groups import (
     all_subgroups,
     is_prime,
     make_group,
-    subgroups_of_order,
+    maximal_subgroups,
 )
 
 
@@ -53,10 +54,11 @@ def crown(group: AbelianGroup, half: Subgroup, a: GroupElement) -> frozenset:
     return frozenset(e for e in group.elements() if e not in members and e != a)
 
 
-def order_p_subgroups(p: int) -> List[Subgroup]:
-    """The p+1 order-p subgroups of Z_p + Z_p, deterministically ordered."""
-    group = make_group([p, p])
-    return subgroups_of_order(group, p)
+def order_p_subgroups(p: int) -> Tuple[Subgroup, ...]:
+    """The p+1 order-p subgroups (the maximal ones) of Z_p + Z_p, p an odd prime."""
+    if p == 2 or not is_prime(p):
+        raise SpecError("order must be an odd prime")
+    return maximal_subgroups(make_group([p, p]))
 
 
 def td_line_graph(p: int, subgroups: Sequence[Subgroup]) -> frozenset:
@@ -87,9 +89,8 @@ def crown_connection_sets(group: AbelianGroup) -> List[frozenset]:
     involutions = [e for e in group.elements() if not e.is_zero and (e + e).is_zero]
     sets = {
         crown(group, half, a)
-        for half in subgroups_of_order(group, n // 2)
-        for a in involutions
-        if a not in half
+        for half in maximal_subgroups(group) if 2 * half.order == n
+        for a in involutions if a not in half
     }
     return sorted(sets, key=lambda s: sorted(e.coords for e in s))
 
@@ -115,21 +116,28 @@ def _catalog(group: AbelianGroup) -> List[CatalogEntry]:
             sets += [squares, frozenset(e for e in elements if not e.is_zero and e not in squares)]
     elif group.rank == 2 and group.moduli[0] == group.moduli[1]:
         p = group.moduli[0]
-        lines = subgroups_of_order(group, p)
+        lines = order_p_subgroups(p)
         sets += [td_line_graph(p, combo) for r in range(2, p) for combo in it.combinations(lines, r)]
     uniq = sorted(set(sets), key=lambda s: (len(s), sorted(e.coords for e in s)))
     return [CatalogEntry(s, detect_family(CayleyGraph(group, s))) for s in uniq]
 
 
-def expected_catalog(group: AbelianGroup) -> List[CatalogEntry]:
-    """Every connection set the classification should report over Z_n + Z_p."""
+def catalog_shape_fault(group: AbelianGroup) -> Optional[str]:
+    """Why group is not Z_n + Z_p with p an odd prime dividing n, or None."""
     if len(group.moduli) != 2:
-        raise SpecError("catalog group must be given as Z_n + Z_p")
+        return "catalog group must be given as Z_n + Z_p"
     n, p = group.moduli
     if p == 2 or not is_prime(p):
-        raise SpecError("second invariant must be an odd prime")
+        return "second invariant must be an odd prime"
     if n % p:
-        raise SpecError("catalog needs p dividing n")
+        return "catalog needs p dividing n"
+
+
+def expected_catalog(group: AbelianGroup) -> List[CatalogEntry]:
+    """Every connection set the classification should report over Z_n + Z_p."""
+    fault = catalog_shape_fault(group)
+    if fault:
+        raise SpecError(fault)
     return _catalog(group)
 
 

@@ -24,10 +24,9 @@ from .groups import (
     GroupElement,
     Subgroup,
     _closure,
-    all_subgroups,
     format_element,
     is_prime,
-    subgroup_from_elements,
+    maximal_subgroups,
 )
 
 EIGENVALUE_GATE = 1e-9
@@ -407,6 +406,7 @@ def _eigensystem_invariants(
 class Imprimitivity:
     bipartite: bool
     antipodal: bool
+    primitive: bool  # d <= 1, or neither bipartite nor antipodal
     antipodal_class: Optional[Subgroup]  # H = S_0 u S_d when antipodal
 
 
@@ -416,15 +416,12 @@ def imprimitivity(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Impri
     if not check.ok or check.array is None or check.partition is None:
         raise SpecError("imprimitivity analysis requires a distance-regular graph")
     arr, part = check.array, check.partition
-    bip = arr.is_bipartite
-    anti = arr.is_antipodal
+    bip, anti = arr.is_bipartite, arr.is_antipodal
     h_sub = None
     if anti:
-        els = graph.group.elements()
         antipodal_class = sorted(part.classes[0] + part.classes[-1])
-        try:
-            h_sub = subgroup_from_elements(graph.group, [els[i] for i in antipodal_class])
-        except SpecError as exc:
+        closure = _closure(graph.group, antipodal_class)
+        if closure.size != len(antipodal_class):
             raise InvariantViolation(
                 "antipodal class S_0 u S_d is not a subgroup",
                 witness={
@@ -432,8 +429,9 @@ def imprimitivity(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Impri
                     "connection": graph.connection_indices().tolist(),
                     "antipodal_class": antipodal_class,
                 },
-            ) from exc
-    return Imprimitivity(bip, anti, h_sub)
+            )
+        h_sub = Subgroup(graph.group, tuple(closure.tolist()))
+    return Imprimitivity(bip, anti, arr.d <= 1 or not (bip or anti), h_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +476,11 @@ def detect_family(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Famil
     if graph.degree == 2 and n >= 3:
         return FamilyLabel("cycle", (("n", n),))
     if len(g.moduli) == 2 and g.moduli[0] == g.moduli[1] and g.moduli[0] != 2 and is_prime(g.moduli[0]):
+        # the maximal subgroups of Z_p + Z_p are its p + 1 order-p lines
         p = g.moduli[0]
-        closed = conn | {g.zero}
-        full = [h for h in all_subgroups(g) if h.order == p and set(h.elements) <= closed]
-        covered = {e for h in full for e in h.elements}
-        if covered == closed and 2 <= len(full) <= p - 1:
+        closed = {0, *graph.connection_indices().tolist()}
+        full = [h.indices for h in maximal_subgroups(g) if closed.issuperset(h.indices)]
+        if {i for h in full for i in h} == closed and 2 <= len(full) <= p - 1:
             return FamilyLabel("union-of-order-p-subgroups", (("p", p), ("r", len(full))))
     if is_prime(n) and n % 4 == 1:
         residues = frozenset(g.element([pow(x, 2, n)]) for x in range(1, n))

@@ -7,10 +7,10 @@ paths work with the integer index of an element in that enumeration.
 A subgroup is the sorted index set of its elements, with no generating
 set; the maximal ones are kernels of maps onto Z_p, found without the
 subgroup lattice, which only the catalogs build.  A group's derived
-tables (elements, index tables, subgroup lattice, automorphisms and their
-canonical-form keys) are memoised per moduli: groups compare and hash by
-their moduli, so equal groups share one copy.  Shared arrays are returned
-read-only.
+tables (elements, index tables, maximal subgroups, subgroup lattice,
+automorphisms and their canonical-form keys) are memoised per moduli:
+groups compare and hash by their moduli, so equal groups share one copy.
+Shared arrays are returned read-only.
 """
 
 from __future__ import annotations
@@ -331,12 +331,7 @@ def all_subgroups(group: AbelianGroup) -> Tuple[Subgroup, ...]:
     return tuple(Subgroup(group, tuple(h)) for _, h in sorted((len(h), sorted(h)) for h in known))
 
 
-def subgroups_of_order(group: AbelianGroup, k: int) -> Tuple[Subgroup, ...]:
-    if group.order % k != 0:
-        raise SpecError(f"no subgroup of order {k} in a group of order {group.order}")
-    return tuple(h for h in all_subgroups(group) if h.order == k)
-
-
+@ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def maximal_subgroups(group: AbelianGroup) -> Tuple[Subgroup, ...]:
     """Subgroups of prime index p (the maximal ones in an abelian group), by
     p and then by indices: the kernels of the maps x -> sum a_i x_i (mod p)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from drgcayley import constructions
 from drgcayley.classify import (
     CatalogDiff,
     ClassificationReport,
@@ -199,6 +200,26 @@ def test_verify_main_theorem_rejects_wrong_groups():
         verify_main_theorem(make_group([4, 3]))
     with pytest.raises(SpecError):
         verify_main_theorem(make_group([6, 2]))
+
+
+def test_verify_main_theorem_refuses_before_building_the_catalog(monkeypatch):
+    """The shape and the subset limit are refused before the catalog (its
+    subgroup lattice and family labels) is built."""
+
+    def unbuilt(group):
+        raise AssertionError("catalog built for a refused search")
+
+    monkeypatch.setattr(constructions, "_catalog", unbuilt)
+    with pytest.raises(SpecError, match="exceed the limit"):
+        verify_main_theorem(make_group([672, 3]))
+    for moduli, message in [
+        ([9], "catalog group must be given as Z_n + Z_p"),
+        ([6, 2], "second invariant must be an odd prime"),
+        ([10, 3], "catalog needs p dividing n"),
+    ]:
+        with pytest.raises(SpecError) as err:
+            verify_main_theorem(make_group(moduli))
+        assert str(err.value) == message
 
 
 def test_diff_flags_missing_and_unexpected():

@@ -3,6 +3,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from drgcayley import graphs
@@ -114,6 +115,25 @@ def test_shorthand_crown(capsys):
     assert "crown(m=5)" in out
 
 
+def test_crown_shorthand_past_the_subgroup_lattice_bound(capsys):
+    """Z_2 x Z_3^6 has too many subgroups to enumerate; its one index-2
+    subgroup is a maximal subgroup, found directly."""
+    t0 = time.perf_counter()
+    code, data = invoke_json(capsys, "check", "--group", "2,3,3,3,3,3,3", "--set", "crown:a=1,0,0,0,0,0,0")
+    assert code == 0
+    assert data["family"] == "crown" and data["parameters"] == {"m": 729}
+    assert data["intersection_array"]["b"] == [728, 727, 1]
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_crown_shorthand_with_many_halves_fails_fast(capsys):
+    t0 = time.perf_counter()
+    code, _, err = invoke(capsys, "check", "--group", "2,2,2,2,2,2,2", "--set", "crown:a=1,0,0,0,0,0,0")
+    assert code == 2
+    assert "64 index-2 subgroups avoid" in err
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_shorthand_tdlg(capsys):
     code, out, _ = invoke(capsys, "check", "--group", "5,5", "--set", "tdlg:r=3")
     assert code == 0
@@ -131,6 +151,8 @@ def test_shorthand_errors():
         parse_connection(make_group([5, 5]), "tdlg:r=9")
     with pytest.raises(SpecError):
         parse_connection(make_group([5, 5]), "tdlg:r=x")
+    with pytest.raises(SpecError, match="order must be an odd prime"):
+        parse_connection(make_group([4, 4]), "tdlg:r=9")
     with pytest.raises(SpecError):
         parse_connection(make_group([6, 3]), "multipartite:H=1,0;0,1")
     with pytest.raises(SpecError):
@@ -177,12 +199,13 @@ def test_spectrum_invariant_violation_carries_its_witness(capsys, monkeypatch):
 
 def test_graph_invariant_violation_carries_its_witness(capsys, monkeypatch):
     """C_6 = Cay(Z_6, {1, 5}) is antipodal with antipodal class {0, 3};
-    refusing that subgroup trips the imprimitivity trap."""
+    a closure that grows it to the whole group trips the imprimitivity
+    trap."""
 
-    def refuse(group, elements):
-        raise SpecError("refused")
+    def whole_group(group, gens):
+        return np.arange(group.order)
 
-    monkeypatch.setattr(graphs, "subgroup_from_elements", refuse)
+    monkeypatch.setattr(graphs, "_closure", whole_group)
     code, data = invoke_json(capsys, "check", "--group", "6", "--set", "1;5")
     assert code == 3
     assert data["error"] == "invariant"

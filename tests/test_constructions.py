@@ -14,7 +14,7 @@ from drgcayley.constructions import (
 )
 from drgcayley.errors import SpecError
 from drgcayley.graphs import IntersectionArray, check_distance_regular, spectrum
-from drgcayley.groups import generated_subgroup, make_group, subgroups_of_order
+from drgcayley.groups import all_subgroups, generated_subgroup, make_group
 
 from reference import (
     complete_graph,
@@ -30,7 +30,7 @@ from reference import (
 
 
 def subgroup_of_order(group, k):
-    subs = subgroups_of_order(group, k)
+    subs = [h for h in all_subgroups(group) if h.order == k]
     assert subs, f"no subgroup of order {k}"
     return subs[0]
 

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from drgcayley import classify, groups
 from drgcayley.algebra import character_table
 from drgcayley.classify import SearchSpec, classify_group
+from drgcayley.cli import parse_connection
+from drgcayley.constructions import order_p_subgroups
 from drgcayley.errors import SpecError
+from drgcayley.graphs import CayleyGraph, detect_family
 from drgcayley.groups import (
     Subgroup,
     all_subgroups,
@@ -23,7 +26,6 @@ from drgcayley.groups import (
     parse_element_set,
     parse_group,
     subgroup_from_elements,
-    subgroups_of_order,
 )
 
 from reference import atoms, element_order, neg, quotient_group, scale, smith_normal_form, subgroup_as_group
@@ -109,9 +111,9 @@ def test_subgroup_counts_z3z3():
     g = make_group([3, 3])
     subs = all_subgroups(g)
     assert len(subs) == 6
-    assert len(subgroups_of_order(g, 3)) == 4
-    assert len(subgroups_of_order(g, 1)) == 1
-    assert len(subgroups_of_order(g, 9)) == 1
+    assert len([h for h in subs if h.order == 3]) == 4
+    assert len([h for h in subs if h.order == 1]) == 1
+    assert len([h for h in subs if h.order == 9]) == 1
 
 
 def test_subgroup_counts_z6():
@@ -476,3 +478,27 @@ def test_classification_builds_no_subgroup_lattice(moduli):
     classify._tables.cache_clear()
     classify_group(SearchSpec(make_group(moduli)))
     assert all_subgroups.cache_info().hits + all_subgroups.cache_info().misses == 0
+
+
+def test_shorthands_and_line_union_labels_build_no_subgroup_lattice():
+    all_subgroups.cache_clear()
+    parse_connection(make_group([10, 5]), "crown:a=5,0")
+    parse_connection(make_group([5, 5]), "tdlg:r=3")
+    group = make_group([5, 5])
+    lines = maximal_subgroups(group)[:2]
+    union = [group.from_index(i) for h in lines for i in h.indices if i]
+    assert str(detect_family(CayleyGraph(group, union))) == "union-of-order-p-subgroups(p=5,r=2)"
+    assert all_subgroups.cache_info().hits + all_subgroups.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_order_p_subgroups_are_the_lattice_lines_in_order(p):
+    lines = order_p_subgroups(p)
+    assert lines == tuple(h for h in all_subgroups(make_group([p, p])) if h.order == p)
+    assert len(lines) == p + 1
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_order_p_subgroups_refuses_all_but_odd_primes(p):
+    with pytest.raises(SpecError, match="order must be an odd prime"):
+        order_p_subgroups(p)
