@@ -14,45 +14,40 @@ program never needs it.
 from __future__ import annotations
 
 import functools as ft
+from math import prod
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvariantViolation, SpecError
+from .groups import GROUP_CACHE_SIZE
 
 _INT64_SAFE = 1 << 62
 ROOT_CACHE_SIZE = 4096  # distinct (m, k, dps) roots of unity kept
 
 
 @ft.lru_cache(maxsize=None)
-def euler_phi(m: int) -> int:
+def _primes(m: int) -> Tuple[int, ...]:
+    """The distinct primes dividing m, increasing."""
     if m < 1:
         raise SpecError(f"conductor must be positive, got {m}")
-    result = m
-    n = m
+    primes = []
     p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
         p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
-    return result
+    if m > 1:
+        primes.append(m)
+    return tuple(primes)
 
 
 @ft.lru_cache(maxsize=None)
-def divisors(m: int) -> Tuple[int, ...]:
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return tuple(small + large[::-1])
+def euler_phi(m: int) -> int:
+    primes = _primes(m)
+    return m // prod(primes) * prod(p - 1 for p in primes)
 
 
 def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> Tuple[List[int], List[int]]:
@@ -73,60 +68,51 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> Tuple[List[int], Lis
     return quot, num[:dn] if dn else [0]
 
 
-@ft.lru_cache(maxsize=None)
+def _substitute_power(poly: Sequence[int], q: int) -> List[int]:
+    """Coefficients of poly(x^q), low degree first."""
+    out = [0] * ((len(poly) - 1) * q + 1)
+    out[::q] = poly
+    return out
+
+
+@ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def cyclotomic_polynomial(m: int) -> Tuple[int, ...]:
-    """Coefficients of Phi_m, low degree first, via exact division of
-    x^m - 1 by the product of Phi_d for proper divisors d."""
-    if m < 1:
-        raise SpecError(f"conductor must be positive, got {m}")
-    if m == 1:
-        return (-1, 1)
-    num = [0] * (m + 1)
-    num[0] = -1
-    num[m] = 1
-    for d in divisors(m):
-        if d == m:
-            continue
-        quot, rem = _poly_divmod(num, cyclotomic_polynomial(d))
+    """Coefficients of Phi_m, low degree first: Phi_1 = x - 1, then
+    Phi_rq(x) = Phi_r(x^q) / Phi_r(x) for each prime q of m in turn (q
+    does not divide the squarefree r), and Phi_m(x) = Phi_r(x^(m/r)) for
+    r = rad(m)."""
+    poly, r = [-1, 1], 1
+    for q in _primes(m):
+        poly, rem = _poly_divmod(_substitute_power(poly, q), poly)
         if any(rem):
-            raise InvariantViolation(f"x^{m}-1 is not divisible by Phi_{d}")
-        num = quot
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    if len(num) - 1 != euler_phi(m):
-        raise InvariantViolation(f"Phi_{m} has wrong degree")
-    return tuple(num)
+            raise InvariantViolation(f"Phi_{r}(x^{q}) is not divisible by Phi_{r}")
+        r *= q
+    return tuple(_substitute_power(poly, m // r))
 
 
-@ft.lru_cache(maxsize=None)
-def _power_table(m: int) -> np.ndarray:
-    """Row e holds the power-basis coordinates of x^e mod Phi_m, for
-    e up to max(m, 2*phi(m)-1) exclusive (covers root exponents and
-    products of two reduced elements).  Rows below phi are unit vectors,
-    x^phi = -(the low terms of Phi_m), each later row is the one before
-    times x, and x^m = 1 makes rows m and up repeat rows 0 and up."""
-    phi = euler_phi(m)
-    poly = np.array(cyclotomic_polynomial(m)[:phi], dtype=object)
-    high = np.empty((m - phi, phi), dtype=object)
+@ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _power_table(r: int) -> np.ndarray:
+    """Row e - phi(r) holds the power-basis coordinates of x^e mod Phi_r
+    for phi(r) <= e < r, r squarefree: x^phi = -(the low terms of Phi_r),
+    and each later row is the one before times x."""
+    phi = euler_phi(r)
+    poly = np.array(cyclotomic_polynomial(r)[:phi], dtype=object)
+    high = np.empty((r - phi, phi), dtype=object)
     cur = -poly
-    for e in range(m - phi):
+    for e in range(r - phi):
         high[e] = cur
         # multiply by x: shift, then fold the overflow via x^phi = -(low terms)
         cur = np.concatenate(([0], cur[:-1])) - cur[-1] * poly
-    arr = np.concatenate([np.eye(phi, dtype=np.int64).astype(object), high])
     if max(high.max(initial=0), -high.min(initial=0)) < 2**31:
-        arr = arr.astype(np.int64)
-    return arr[np.arange(max(m, 2 * phi - 1)) % m]
+        high = high.astype(np.int64)
+    return high
 
 
-@ft.lru_cache(maxsize=None)
-def _table_row_bound(m: int) -> int:
-    """max over basis coordinates of the column sum of |entries|; used to
-    certify that int64 accumulation cannot overflow."""
-    tab = _power_table(m)
-    if tab.dtype == object:
-        return _INT64_SAFE
-    return int(np.abs(tab).sum(axis=0).max())
+@ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _table_row_bound(r: int) -> int:
+    """max over basis coordinates of the column sum of |entries| of the
+    power table; used to certify that int64 accumulation cannot overflow."""
+    return int(np.abs(_power_table(r)).sum(axis=0).max(initial=0))
 
 
 def exact_dtype(bound: int, *arrays: np.ndarray):
@@ -141,14 +127,19 @@ def exact_dtype(bound: int, *arrays: np.ndarray):
 
 def reduce_root_counts(counts: np.ndarray, m: int) -> np.ndarray:
     """Power-basis coordinates of sum_e counts[..., e] * zeta_m^e, the
-    last axis running over e = 0..m-1, exactly.  zeta^e for e < phi(m) is
-    a basis vector, so only the counts of the higher powers go through
-    the power table, bounded by max|count| * _table_row_bound(m) * m."""
-    phi = euler_phi(m)
-    power = _power_table(m)[phi:m]
-    dtype = exact_dtype(int(np.abs(counts).max(initial=0)) * _table_row_bound(m) * m, counts, power)
-    high = counts[..., phi:].astype(dtype, copy=False)
-    return counts[..., :phi] + high @ power.astype(dtype, copy=False)
+    last axis running over e = 0..m-1, exactly.  With r = rad(m) and
+    s = m/r, Phi_m(x) = Phi_r(x^s), so zeta_m^(j*s+i) = zeta_m^i * zeta_r^j
+    and coordinate j*s + i for j < phi(r) is a basis vector: only the
+    counts with j >= phi(r) go through r's power table, each output
+    bounded by max|count| * (1 + _table_row_bound(r))."""
+    r = prod(_primes(m))
+    s, phi = m // r, euler_phi(r)
+    power = _power_table(r)
+    dtype = exact_dtype(int(np.abs(counts).max(initial=0)) * (1 + _table_row_bound(r)), counts, power)
+    lead = counts.shape[:-1]
+    by_i = np.swapaxes(counts.reshape(lead + (r, s)), -1, -2)  # [..., i, j]
+    out = by_i[..., :phi] + by_i[..., phi:].astype(dtype, copy=False) @ power.astype(dtype, copy=False)
+    return np.swapaxes(out, -1, -2).reshape(lead + (phi * s,))
 
 
 @ft.lru_cache(maxsize=ROOT_CACHE_SIZE)

@@ -502,14 +502,12 @@ def export_graph6(graph: CayleyGraph) -> str:
 
 
 def encode_graph6(A: np.ndarray, n: int) -> str:
-    bits: List[int] = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(int(A[i, j]))
-    while len(bits) % 6:
-        bits.append(0)
-    chunks = [sum(b << (5 - i) for i, b in enumerate(bits[k : k + 6])) for k in range(0, len(bits), 6)]
-    return _graph6_size(n) + "".join(chr(63 + c) for c in chunks)
+    """The upper triangle column by column, A[0,1], A[0,2], A[1,2], ...
+    (the lower triangle of A.T row by row), six bits to a character."""
+    bits = np.asarray(A).T[np.tril_indices(n, -1)]
+    bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bits.dtype)]).reshape(-1, 6)
+    chunks = 63 + bits @ (1 << np.arange(5, -1, -1))
+    return _graph6_size(n) + chunks.astype(np.uint8).tobytes().decode("ascii")
 
 
 def _graph6_size(n: int) -> str:

@@ -29,6 +29,7 @@ line graphs) pair a graph with its predicted intersection array.
 
 from __future__ import annotations
 
+import functools as ft
 import itertools as it
 import math
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ import numpy as np
 from drgcayley import cyclotomic
 from drgcayley.algebra import character_table, character_values
 from drgcayley.constructions import crown, td_line_graph
-from drgcayley.cyclotomic import _power_table, _table_row_bound, euler_phi, exact_dtype
+from drgcayley.cyclotomic import cyclotomic_polynomial, euler_phi, exact_dtype
 from drgcayley.designs import is_polynomial_addition_set, is_relative_difference_set
 from drgcayley.errors import InvariantViolation, NotConnectedError, PrecisionError, SpecError
 from drgcayley.graphs import (
@@ -70,6 +71,33 @@ from drgcayley.schur import SchurRing, dual_schur_ring
 # cyclotomic ring arithmetic
 
 
+@ft.lru_cache(maxsize=16)
+def reference_power_table(m: int) -> np.ndarray:
+    """Row e holds the power-basis coordinates of x^e mod Phi_m, for
+    e up to max(m, 2*phi(m)-1) exclusive (covers root exponents and
+    products of two reduced elements), built row by row at conductor m
+    itself: int64 when every entry is below 2^31, Python integers
+    otherwise."""
+    phi = euler_phi(m)
+    poly = np.array(cyclotomic_polynomial(m)[:phi], dtype=object)
+    rows = np.zeros((max(m, 2 * phi - 1), phi), dtype=object)
+    rows[0, 0] = 1
+    for e in range(1, len(rows)):
+        # multiply by x: shift, then fold the overflow via x^phi = -(low terms)
+        top = rows[e - 1, -1]
+        rows[e, 1:] = rows[e - 1, :-1]
+        rows[e] -= top * poly
+    if max(rows.max(initial=0), -rows.min(initial=0)) < 2**31:
+        rows = rows.astype(np.int64)
+    return rows
+
+
+def reduce_by_full_table(counts: np.ndarray, m: int) -> np.ndarray:
+    """sum_e counts[..., e] * zeta_m^e in the power basis, every count
+    through the full table at conductor m, in Python integers."""
+    return np.asarray(counts, dtype=object) @ reference_power_table(m)[:m].astype(object)
+
+
 class CyclotomicInteger(cyclotomic.CyclotomicInteger):
     """The package's cyclotomic integer with the ring operations.  Mixed
     conductors are combined, and compared for equality, by lifting to the
@@ -84,8 +112,7 @@ class CyclotomicInteger(cyclotomic.CyclotomicInteger):
     @classmethod
     def from_root_power(cls, m: int, e: int) -> "CyclotomicInteger":
         """zeta_m ** e."""
-        tab = _power_table(m)
-        return cls(m, tuple(int(v) for v in tab[e % m]))
+        return cls(m, tuple(int(v) for v in reference_power_table(m)[e % m]))
 
     def lift(self, m2: int) -> "CyclotomicInteger":
         """Rewrite at a conductor m2 that is a multiple of the current one."""
@@ -149,9 +176,9 @@ class CyclotomicInteger(cyclotomic.CyclotomicInteger):
         phi = euler_phi(m)
         amax = max((abs(c) for c in a.coeffs), default=0)
         bmax = max((abs(c) for c in b.coeffs), default=0)
-        tab = _power_table(m)[: 2 * phi - 1]
+        tab = reference_power_table(m)[: 2 * phi - 1]
         # each convolution entry is below phi * amax * bmax
-        dtype = exact_dtype(phi * amax * bmax * _table_row_bound(m) * (2 * phi), tab)
+        dtype = exact_dtype(phi * amax * bmax * int(np.abs(tab).sum(axis=0).max()) * (2 * phi), tab)
         conv = np.convolve(np.array(a.coeffs, dtype=dtype), np.array(b.coeffs, dtype=dtype))
         vec = conv @ tab.astype(dtype, copy=False)
         return CyclotomicInteger(m, tuple(int(v) for v in vec))

@@ -210,7 +210,7 @@ def test_verify_main_theorem_refuses_before_building_the_catalog(monkeypatch):
         raise AssertionError("catalog built for a refused search")
 
     monkeypatch.setattr(constructions, "_catalog", unbuilt)
-    with pytest.raises(SpecError, match="exceed the limit"):
+    with pytest.raises(SpecError, match=r"^2\^1008 connection sets over 672,3 exceed the limit 4194304;"):
         verify_main_theorem(make_group([672, 3]))
     for moduli, message in [
         ([9], "catalog group must be given as Z_n + Z_p"),
@@ -277,10 +277,10 @@ def test_verify_circulant_examples(n, families):
 
 
 def test_verify_circulant_edges_and_domain():
-    assert verify_circulant_theorem(1).empty
-    assert verify_circulant_theorem(2).empty
-    with pytest.raises(SpecError):
-        verify_circulant_theorem(34)
+    for n in (1, 2, 34, 45):
+        assert verify_circulant_theorem(n).empty
+    with pytest.raises(SpecError, match=r"2\^23 connection sets over 46 exceed the limit"):
+        verify_circulant_theorem(46)
     with pytest.raises(SpecError):
         verify_circulant_theorem(0)
 

@@ -358,7 +358,7 @@ def test_removed_aut_reduction_flag_is_a_usage_error(capsys):
 def test_classify_limit_flag(capsys):
     code, _, err = invoke(capsys, "classify", "--group", "12,3", "--limit", "1000")
     assert code == 2
-    assert "limit" in err
+    assert err == "error (usage): 2^18 connection sets over 12,3 exceed the limit 1000; raise max_subsets explicitly\n"
 
 
 def test_verify_theorem_cli(capsys):
@@ -375,7 +375,10 @@ def test_verify_circulant_cli(capsys):
     code, data = invoke_json(capsys, "verify-circulant", "--group", "13")
     assert code == 0
     assert data["verified"] is True
-    for group in ("6,3", "34"):
+    for group in ("34", "45"):
+        code, data = invoke_json(capsys, "verify-circulant", "--group", group)
+        assert code == 0 and data["verified"] is True
+    for group in ("6,3", "46"):
         code, _, err = invoke(capsys, "verify-circulant", "--group", group)
         assert code == 2 and err.startswith("error (usage)")
 

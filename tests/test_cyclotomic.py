@@ -1,23 +1,22 @@
+import functools as ft
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drgcayley import cyclotomic
-from drgcayley.cyclotomic import _power_table, cyclotomic_polynomial, divisors, euler_phi
+from drgcayley.cyclotomic import _power_table, cyclotomic_polynomial, euler_phi, reduce_root_counts
 from drgcayley.errors import SpecError
+from drgcayley.graphs import spectrum
 
-from reference import CyclotomicInteger, numeric_direct, zeta
+from reference import CyclotomicInteger, cycle, numeric_direct, reduce_by_full_table, reference_power_table, zeta
 
 
 def test_euler_phi():
     assert [euler_phi(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
     assert euler_phi(45) == 24
-
-
-def test_divisors():
-    assert divisors(45) == (1, 3, 5, 9, 15, 45)
-    assert divisors(1) == (1,)
 
 
 def test_cyclotomic_polynomials_frozen():
@@ -32,7 +31,7 @@ def test_cyclotomic_polynomials_frozen():
 def test_cyclotomic_polynomials_against_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
-    for m in range(1, 61):
+    for m in list(range(1, 61)) + [128, 243, 486, 1155, 1944, 2048]:
         ours = cyclotomic_polynomial(m)
         theirs = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
         assert list(ours) == [int(c) for c in theirs], f"Phi_{m} mismatch"
@@ -201,33 +200,37 @@ def test_numeric_matches_sympy(m, cs):
     assert abs(complex(ours.real, ours.imag) - theirs) < 1e-25
 
 
-def reference_power_table(m: int) -> np.ndarray:
-    """Row e holds the power-basis coordinates of x^e mod Phi_m, for
-    e up to max(m, 2*phi(m)-1) exclusive (covers root exponents and
-    products of two reduced elements)."""
-    phi = euler_phi(m)
-    nrows = max(m, 2 * phi - 1)
-    poly = cyclotomic_polynomial(m)
-    rows = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(nrows):
-        rows.append(list(cur))
-        # multiply by x: shift, then fold the overflow via x^phi = -(low terms)
-        top = cur[phi - 1]
-        cur = [0] + cur[: phi - 1]
-        if top:
-            for j in range(phi):
-                cur[j] -= top * poly[j]
-    arr = np.array(rows, dtype=object)
-    if int(max(abs(int(v)) for v in arr.flat)) < 2**31:
-        arr = arr.astype(np.int64)
-    return arr
+def test_power_table_is_the_high_rows_of_the_full_table():
+    for r in list(range(1, 130)) + [210, 330, 385, 1155, 2039]:
+        if math.prod(cyclotomic._primes(r)) != r:
+            continue  # tables are built for squarefree conductors only
+        phi = euler_phi(r)
+        got, want = _power_table(r), reference_power_table(r)[phi:r]
+        assert got.dtype == want.dtype == np.int64, r
+        assert got.shape == want.shape == (r - phi, phi), r
+        assert np.array_equal(got, want), r
 
 
-def test_power_table_matches_the_row_by_row_reference():
-    for m in list(range(1, 130)) + [210, 256, 330, 385, 1155]:
-        got, want = _power_table(m), reference_power_table(m)
-        assert got.dtype == want.dtype == np.int64, m
-        assert got.shape == want.shape, m
-        assert np.array_equal(got, want), m
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 64, 128, 1024, 2048, 9, 27, 243, 25, 125, 49, 343, 121, 210, 486, 1155, 1536, 1944, 2039])
+def test_reduce_root_counts_matches_the_full_table(m):
+    rng = np.random.default_rng(m)
+    counts = rng.integers(-50, 50, size=(17, m))
+    got = reduce_root_counts(counts, m)
+    assert got.dtype == np.int64 and got.shape == (17, euler_phi(m))
+    assert got.tolist() == reduce_by_full_table(counts, m).tolist()
+    assert reduce_root_counts(counts[:0], m).shape == (0, euler_phi(m))
+    assert reduce_root_counts(counts[:6].reshape(2, 3, m), m).tolist() == got[:6].reshape(2, 3, -1).tolist()
+
+
+def test_spectrum_of_the_2048_cycle_builds_only_the_table_of_2(monkeypatch):
+    built = []
+    build = cyclotomic._power_table.__wrapped__
+
+    def spy(r):
+        built.append(r)
+        return build(r)
+
+    monkeypatch.setattr(cyclotomic, "_power_table", ft.lru_cache(maxsize=None)(spy))
+    values = spectrum(cycle(2048).graph).values
+    assert len(values) == 1025 and values[0] == 2 and values[-1] == -2
+    assert built == [2]

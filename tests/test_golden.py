@@ -15,9 +15,12 @@ arithmetic and the group-algebra class left the package; the check,
 construct and verify digests were recorded before subgroups lost their
 generating sets; the paley-z29 (dps 20 and 500), cycle-z33 (dps 500)
 and cycle-z5 (dps 60) spectrum digests were recorded before the roots
-of unity behind the eigenvalue order were memoised.  CI checks the text
-check, krein, dual and spectrum digests, and the dps 60 and dps 500
-spectrum digests in JSON, through the console script as well.
+of unity behind the eigenvalue order were memoised; the cycle-z2048 and
+cycle-z1536 spectrum digests were recorded before root counts were
+reduced through the radical of the conductor.  CI checks the text
+check, krein, dual and spectrum digests, the dps 60 and dps 500
+spectrum digests in JSON, and the cycle-z2048 spectrum digest in JSON
+under a 20 s timeout, through the console script as well.
 
 tests/golden/catalog_digests.json maps a group's moduli to the SHA-256 of
 the sorted (connection, label) pairs of its expected catalog: the
@@ -59,6 +62,8 @@ CLI_CASES = {
     "cycle-z7-dps60": ("7", "1;6", ("--precision", "60"), 0),
     "cycle-z5-dps60": ("5", "1;4", ("--precision", "60"), 0),
     "cycle-z33-dps500": ("33", "1;32", ("--precision", "500"), 0),
+    "cycle-z1536": ("1536", "1;1535", (), 0),
+    "cycle-z2048": ("2048", "1;2047", (), 0),
     "paley-z29-dps20": ("29", PALEY_Z29, ("--precision", "20"), 0),
     "paley-z29-dps500": ("29", PALEY_Z29, ("--precision", "500"), 0),
     "rds-z2x4": ("2,4", "0,0;0,1;1,0;1,3", ("--forbidden", "0,2"), 0),

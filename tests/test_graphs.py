@@ -474,7 +474,7 @@ def test_graph6_k3():
 
 
 def test_graph6_roundtrip_fixtures():
-    for gr in [cycle_graph(5), srg942(), crown_graph_z6z3(), hypercube4(), taylor_cover_z2_5()]:
+    for gr in [cycle_graph(5), srg942(), crown_graph_z6z3(), hypercube4(), taylor_cover_z2_5(), cycle_graph(2048)]:
         assert np.array_equal(decode_graph6(export_graph6(gr)), gr.adjacency())
 
 

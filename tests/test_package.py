@@ -16,7 +16,7 @@ import drgcayley
 # defined nowhere in the package, at any depth
 REMOVED = (
     "Construction", "srg_array", "complete_graph", "complete_multipartite", "cycle", "paley",
-    "subgroups_of_order",
+    "subgroups_of_order", "divisors",
 )
 # class -> members it no longer defines
 REMOVED_MEMBERS = {
