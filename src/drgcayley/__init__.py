@@ -20,7 +20,6 @@ from .graphs import (
     IntersectionArray,
     check_distance_regular,
     detect_family,
-    distance_partition,
     export_graph6,
     imprimitivity,
     spectrum,
@@ -49,7 +48,6 @@ from .designs import (
 )
 from .classify import (
     ClassificationReport,
-    SearchSpec,
     classify_group,
     nonexistence_report,
     verify_circulant_theorem,
@@ -67,7 +65,6 @@ __all__ = [
     "NotConnectedError",
     "PrecisionError",
     "SchurRing",
-    "SearchSpec",
     "SpecError",
     "Subgroup",
     "__version__",
@@ -78,7 +75,6 @@ __all__ = [
     "direction_bound_check",
     "directions",
     "distance_module",
-    "distance_partition",
     "dual_graph",
     "dual_schur_ring",
     "expected_catalog",

@@ -61,6 +61,7 @@ from .groups import (
     AbelianGroup,
     GroupElement,
     aut_classes,
+    check_orbit_bits,
     format_element,
     make_group,
     maximal_subgroups,
@@ -128,11 +129,6 @@ class _ScanTables:
         group = make_group(moduli)
         basis = inverse_pair_basis(group)
         B = len(basis)
-        if group.index(group.zero) != 0:
-            raise InvariantViolation(
-                "zero must sit at element index 0",
-                witness={"group": list(moduli), "zero_index": group.index(group.zero)},
-            )
         add = group.add_table()
         row_of = np.zeros(group.order, dtype=np.intp)
         for j, orb in enumerate(basis):
@@ -313,13 +309,6 @@ def _scan_range(args) -> Tuple[int, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class SearchSpec:
-    group: AbelianGroup
-    workers: int = 1
-    max_subsets: int = MAX_SUBSETS
-
-
-@dataclass(frozen=True)
 class DRGRecord:
     """One Aut(G)-class of distance-regular connection sets."""
 
@@ -436,34 +425,34 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def classify_group(spec: SearchSpec) -> ClassificationReport:
+def classify_group(
+    group: AbelianGroup, workers: int = 1, max_subsets: int = MAX_SUBSETS
+) -> ClassificationReport:
     """Scan every inverse-closed subset of G\\{0} and report the
     distance-regular ones, grouped by Aut(G)-class.
 
-    With `spec.workers` > 1 and at least `SPAWN_SUBSETS` subsets, spawned
+    With `workers` > 1 and at least `SPAWN_SUBSETS` subsets, spawned
     workers, at most one per usable CPU, walk equal ranges of the Gray
     steps; smaller searches run in process.  The report is the same either
     way."""
     import time
 
-    if spec.workers < 1:
+    if workers < 1:
         raise SpecError("worker count must be at least 1")
-    group = spec.group
     basis = inverse_pair_basis(group)
     total = 1 << len(basis)
-    if total > spec.max_subsets:
+    if total > max_subsets:
         raise SpecError(
-            f"2^{len(basis)} connection sets over {group} exceed the limit {spec.max_subsets};"
+            f"2^{len(basis)} connection sets over {group} exceed the limit {max_subsets};"
             " raise max_subsets explicitly"
         )
-    if len(basis) > 63:
-        raise SpecError(f"subset ids are int64: {group} has {len(basis)} > 63 orbit bits")
+    check_orbit_bits(group)
     t0 = time.perf_counter()
     # workers take equal ranges of the 2^L Gray steps, each over every column;
     # a spawn pool starts one interpreter per range submitted, so the count is
     # capped at the CPUs this process may use
     steps = 1 << _low_bits(len(basis))
-    workers = min(spec.workers, steps, _usable_cpus()) if total >= SPAWN_SUBSETS else 1
+    workers = min(workers, steps, _usable_cpus()) if total >= SPAWN_SUBSETS else 1
     bounds = [steps * w // workers for w in range(workers + 1)]
     jobs = [(group.moduli, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
@@ -606,7 +595,7 @@ def verify_main_theorem(
     fault = catalog_shape_fault(group)
     if fault:
         raise SpecError(fault)
-    report = classify_group(SearchSpec(group, workers=workers, max_subsets=max_subsets))
+    report = classify_group(group, workers, max_subsets)
     return _diff_against(report, expected_catalog(group))
 
 
@@ -618,7 +607,7 @@ def verify_circulant_theorem(
     limit and the 63 orbit bits of a subset id bound n."""
     if n < 1:
         raise SpecError("circulant verification needs n >= 1")
-    report = classify_group(SearchSpec(make_group([n]), workers=workers, max_subsets=max_subsets))
+    report = classify_group(make_group([n]), workers, max_subsets)
     return _diff_against(report, expected_circulant_catalog(n))
 
 

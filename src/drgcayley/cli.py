@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .classify import (
     MAX_SUBSETS,
-    SearchSpec,
     aligned_rows,
     classify_group,
     nonexistence_report,
@@ -360,8 +359,7 @@ def _search_kwargs(args) -> dict:
 
 def _cmd_classify(args) -> Payload:
     group = parse_group(args.group)
-    spec = SearchSpec(group=group, **_search_kwargs(args))
-    report = classify_group(spec)
+    report = classify_group(group, **_search_kwargs(args))
     payload = {"command": "classify", "inputs": _search_inputs(args)}
     payload.update(report.to_dict())
     text = aligned_rows(report.summary_rows())

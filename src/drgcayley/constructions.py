@@ -20,6 +20,7 @@ from .groups import (
     GroupElement,
     Subgroup,
     all_subgroups,
+    check_orbit_bits,
     is_prime,
     make_group,
     maximal_subgroups,
@@ -100,7 +101,10 @@ def _catalog(group: AbelianGroup) -> List[CatalogEntry]:
     subgroup and the crown sets; on Z_n also the +-g cycles (g a unit,
     n >= 3) and the Paley pair (n a prime 1 mod 4); on Z_p + Z_p also the
     unions of 2..p-1 order-p subgroups.  Deduplicated, ordered by size and
-    then coordinates, and labelled by detect_family."""
+    then coordinates, and labelled by detect_family.  Refused (SpecError)
+    past the 63 orbit bits of a subset id, as the search is, before the
+    subgroup lattice is built."""
+    check_orbit_bits(group)
     n = group.order
     elements = group.elements()
     sets = [frozenset(e for e in elements if not e.is_zero)]

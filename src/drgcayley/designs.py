@@ -25,7 +25,6 @@ from .groups import (
     Subgroup,
     format_element,
     is_prime,
-    subgroup_from_elements,
 )
 
 MAX_PAS_WORK = 1 << 25  # degree x |G|^2 x 64-bit words of the largest value
@@ -79,45 +78,38 @@ class RDSCheck:
         return out
 
 
-def _as_subgroup(group: AbelianGroup, forbidden) -> Subgroup:
-    if isinstance(forbidden, Subgroup):
-        if forbidden.group != group:
-            raise SpecError("forbidden subgroup belongs to a different group")
-        return forbidden
-    return subgroup_from_elements(group, forbidden)
-
-
 def is_relative_difference_set(group: AbelianGroup, dset: Iterable[GroupElement],
-                               forbidden) -> RDSCheck:
+                               forbidden: Subgroup) -> RDSCheck:
     """Decide whether dset is a relative difference set for the forbidden
     subgroup by expanding the difference multiset exactly.
 
     The defining identity asks the convolution of the set with its
     reversal to equal k at the identity, zero on the rest of the
-    subgroup, and a constant mu outside it.
+    subgroup, and a constant mu outside it; with no integral mu, every
+    element outside the subgroup breaks it.
     """
-    sub = _as_subgroup(group, forbidden)
-    if sub.order == group.order:
+    if forbidden.group != group:
+        raise SpecError("forbidden subgroup belongs to a different group")
+    r = forbidden.order
+    if r == group.order:
         raise SpecError("forbidden subgroup must be proper")
     dd = frozenset(dset)
     k = len(dd)
     a = _indicator(group, dd, np.int64)
     conv = _convolve(group, a, a[group.neg_table()])
-    r = sub.order
     outside = group.order - r
     mu: Optional[int] = None
     if k * (k - 1) % outside == 0:
         mu = k * (k - 1) // outside
-    nset = sub.element_set()
-    for g, c in zip(group.elements(), conv.tolist()):
-        if g.is_zero:
-            want: Optional[int] = k
-        elif g in nset:
-            want = 0
-        else:
-            want = mu
-        if c != want:
-            return RDSCheck(False, None, g, want, c)
+    # -1 stands for "no mu": no difference count is negative
+    want = np.full(group.order, -1 if mu is None else mu, dtype=np.int64)
+    want[list(forbidden.indices)] = 0
+    want[0] = k
+    bad = np.flatnonzero(conv != want)
+    if bad.size:
+        i = int(bad[0])
+        expected = int(want[i]) if want[i] >= 0 else None
+        return RDSCheck(False, None, group.from_index(i), expected, int(conv[i]))
     return RDSCheck(True, (group.order // r, r, k, mu))
 
 
@@ -173,11 +165,11 @@ def is_polynomial_addition_set(group: AbelianGroup, dset: Iterable[GroupElement]
         power = _convolve(group, base, power)
         if c:
             acc = acc + c * power
-    acc = acc.tolist()
-    ref = acc[group.index(group.zero)]
-    for g, c in zip(group.elements(), acc):
-        if c != ref:
-            return PASCheck(False, None, g, c - ref)
+    ref = int(acc[0])
+    bad = np.flatnonzero(acc != acc[0])
+    if bad.size:
+        i = int(bad[0])
+        return PASCheck(False, None, group.from_index(i), int(acc[i]) - ref)
     return PASCheck(True, ref)
 
 

@@ -1,6 +1,6 @@
-"""Cayley graphs over finite abelian groups: distance partitions, the
-exact distance-regularity test, spectra, imprimitivity, family labels
-and graph6 export.
+"""Cayley graphs over finite abelian groups: the exact
+distance-regularity test with its distance classes, spectra,
+imprimitivity, family labels and graph6 export.
 
 Everything arithmetic is exact: convolutions are integer vectors,
 eigenvalues are cyclotomic integers, and numerics are used only to fix
@@ -93,25 +93,6 @@ class CayleyGraph:
 
 
 # ---------------------------------------------------------------------------
-# distance partition
-
-
-@dataclass(frozen=True)
-class DistancePartition:
-    group: AbelianGroup
-    classes: Tuple[Tuple[int, ...], ...]  # index tuples, classes[i] = S_i
-
-    @property
-    def diameter(self) -> int:
-        return len(self.classes) - 1
-
-
-def distance_partition(graph: CayleyGraph) -> DistancePartition:
-    """BFS layers from the identity; a by-product of the exact check."""
-    return check_distance_regular(graph).partition
-
-
-# ---------------------------------------------------------------------------
 # intersection arrays and the distance-regularity test
 
 
@@ -187,7 +168,7 @@ class IntersectionArray:
 class DRGCheck:
     ok: bool
     array: Optional[IntersectionArray]
-    partition: Optional[DistancePartition]
+    classes: Tuple[Tuple[int, ...], ...]  # BFS layers from the identity, index tuples
     witness: Optional[dict] = None
 
 
@@ -221,8 +202,8 @@ def _check(group: AbelianGroup, connection: Tuple[int, ...]) -> DRGCheck:
     layers.pop()
     if not seen.all():
         raise NotConnectedError("connection set does not generate the group")
-    part = DistancePartition(group, tuple(tuple(x.tolist()) for x in layers))
-    d = part.diameter
+    classes = tuple(tuple(x.tolist()) for x in layers)
+    d = len(classes) - 1
     # lo[i, j] / hi[i, j]: least / greatest count towards layer i on class j
     rows = np.stack(counts, axis=1)[np.concatenate(layers)]
     starts = np.cumsum([0] + [x.size for x in layers[:-1]])
@@ -237,12 +218,12 @@ def _check(group: AbelianGroup, connection: Tuple[int, ...]) -> DRGCheck:
             witness = {"layer": i, "class": j, "min": int(lo[i, j]), "max": int(hi[i, j])}
         else:
             witness = {"layer": i, "class": j, "nonzero": int(hi[i, j])}
-        return DRGCheck(False, None, part, witness)
+        return DRGCheck(False, None, classes, witness)
     # b_i = hi[i + 1, i], c_{i+1} = hi[i, i + 1]
     arr = IntersectionArray(tuple(np.diagonal(hi, -1).tolist()), tuple(np.diagonal(hi, 1).tolist()))
     where = {"group": list(group.moduli), "connection": list(connection)}
     sizes = arr.class_sizes()
-    layer_sizes = [len(cls) for cls in part.classes]
+    layer_sizes = [len(cls) for cls in classes]
     if list(sizes) != layer_sizes or sum(sizes) != n:
         raise InvariantViolation(
             "intersection array inconsistent with layer sizes",
@@ -254,7 +235,7 @@ def _check(group: AbelianGroup, connection: Tuple[int, ...]) -> DRGCheck:
                 "k_i b_i != k_{i+1} c_{i+1}",
                 witness={**where, "i": i, "left": sizes[i] * arr.b[i], "right": sizes[i + 1] * arr.c[i]},
             )
-    return DRGCheck(True, arr, part)
+    return DRGCheck(True, arr, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +394,13 @@ class Imprimitivity:
 def imprimitivity(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Imprimitivity:
     if check is None:
         check = check_distance_regular(graph)
-    if not check.ok or check.array is None or check.partition is None:
+    if not check.ok:
         raise SpecError("imprimitivity analysis requires a distance-regular graph")
-    arr, part = check.array, check.partition
+    arr = check.array
     bip, anti = arr.is_bipartite, arr.is_antipodal
     h_sub = None
     if anti:
-        antipodal_class = sorted(part.classes[0] + part.classes[-1])
+        antipodal_class = sorted(check.classes[0] + check.classes[-1])
         closure = _closure(graph.group, antipodal_class)
         if closure.size != len(antipodal_class):
             raise InvariantViolation(
@@ -470,8 +451,8 @@ def detect_family(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Famil
     comp = np.flatnonzero(outside)
     if 1 < comp.size < n and outside[g.add_table()[np.ix_(comp, comp)]].all():
         return FamilyLabel("multipartite", (("t", n // comp.size), ("m", comp.size)))
-    arr, part = check.array, check.partition
-    if arr.is_bipartite and arr.is_antipodal and arr.d == 3 and len(part.classes[3]) == 1:
+    arr = check.array
+    if arr.is_bipartite and arr.is_antipodal and arr.d == 3 and len(check.classes[3]) == 1:
         return FamilyLabel("crown", (("m", n // 2),))
     if graph.degree == 2 and n >= 3:
         return FamilyLabel("cycle", (("n", n),))

@@ -1,8 +1,9 @@
 """Finite abelian groups presented as direct products of cyclic factors.
 
 A group is a list of moduli [n_1, ..., n_r]; elements are coordinate
-tuples of residues.  Elements are enumerated lexicographically and hot
-paths work with the integer index of an element in that enumeration.
+tuples of residues.  Elements are enumerated lexicographically, so index
+0 is the identity, and hot paths work with the integer index of an
+element in that enumeration.
 
 A subgroup is the sorted index set of its elements, with no generating
 set; the maximal ones are kernels of maps onto Z_p, found without the
@@ -274,7 +275,7 @@ def _closure(group: AbelianGroup, gens: Iterable[int]) -> np.ndarray:
     so each step is one gather of the addition table."""
     add = group.add_table()
     member = np.zeros(group.order, dtype=bool)
-    member[0] = True  # index 0 is the identity
+    member[0] = True
     found = np.zeros(1, dtype=np.intp)
     for gi in map(int, gens):
         reps = [0]
@@ -286,15 +287,6 @@ def _closure(group: AbelianGroup, gens: Iterable[int]) -> np.ndarray:
             found = add[np.ix_(found, reps)].ravel()
             member[found] = True
     return np.flatnonzero(member)
-
-
-def subgroup_from_elements(group: AbelianGroup, elements: Iterable[GroupElement]) -> Subgroup:
-    """Wrap a set already known to be closed; verified, violation raises."""
-    elems = set(elements)
-    closure = generated_subgroup(group, elems)
-    if closure.order != len(elems):
-        raise SpecError("element set is not closed under the group operation")
-    return closure
 
 
 @ft.lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -344,6 +336,15 @@ def maximal_subgroups(group: AbelianGroup) -> Tuple[Subgroup, ...]:
         kernels = coords[:, cols] @ np.array(maps).T % p == 0
         out += sorted(tuple(np.flatnonzero(z).tolist()) for z in kernels.T)
     return tuple(Subgroup(group, h) for h in out)
+
+
+def check_orbit_bits(group: AbelianGroup) -> None:
+    """Refuse (SpecError) a group whose G\\{0} has more than 63 {g,-g}
+    orbits: a subset of them is numbered by an int64 id.  The orbit of i
+    is counted at its least member, the i with i <= -i."""
+    bits = int((np.arange(1, group.order) <= group.neg_table()[1:]).sum())
+    if bits > 63:
+        raise SpecError(f"subset ids are int64: {group} has {bits} > 63 orbit bits")
 
 
 def is_prime(n: int) -> bool:

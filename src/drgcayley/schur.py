@@ -130,9 +130,8 @@ def verify_schur_ring(group: AbelianGroup, partition: Sequence[Sequence[int]]) -
     flat = sorted(x for cls in classes for x in cls)
     if flat != list(range(group.order)) or not all(classes):
         return SchurCheck(False, None, {"reason": "not a partition of the group"})
-    zero = group.index(group.zero)
-    zi = next(i for i, cls in enumerate(classes) if zero in cls)
-    if classes[zi] != (zero,):
+    zi = next(i for i, cls in enumerate(classes) if 0 in cls)
+    if classes[zi] != (0,):
         return SchurCheck(False, None, {"reason": "the identity class is not {0}"})
     classes.insert(0, classes.pop(zi))
     neg = group.neg_table()
@@ -158,7 +157,7 @@ def distance_module(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Sch
         check = check_distance_regular(graph)
     if not check.ok:
         raise SpecError(f"graph is not distance-regular: {check.witness}")
-    return _distance_module(graph.group, check.partition.classes)
+    return _distance_module(graph.group, check.classes)
 
 
 @ft.lru_cache(maxsize=RING_CACHE_SIZE)
@@ -185,13 +184,12 @@ def _dual_ring(group: AbelianGroup, classes: Tuple[Tuple[int, ...], ...]) -> Sch
             f"dual rank {len(keys)} differs from primal rank {len(classes)}",
             witness={"rank": len(classes), "dual_rank": len(keys)},
         )
-    zero = group.index(group.zero)
     members: List[List[int]] = [[] for _ in keys]
     for gi, u in enumerate(label.tolist()):
         members[u].append(gi)
     dual_classes = sorted(
         (tuple(v) for v in members),
-        key=lambda cls: (zero not in cls, len(cls), cls),
+        key=lambda cls: (0 not in cls, len(cls), cls),
     )
     res = verify_schur_ring(group, dual_classes)
     if not res.ok:
@@ -307,20 +305,20 @@ def dual_graph(graph: CayleyGraph, tau: Sequence[int], check: Optional[DRGCheck]
         raise InvariantViolation(
             "dual graph failed the distance-regularity recheck", witness={**where, **dcheck.witness}
         )
-    if dcheck.partition.diameter != ring.d:
+    if dcheck.array.d != ring.d:
         raise InvariantViolation(
             "dual graph diameter differs from the scheme rank",
-            witness={**where, "diameter": dcheck.partition.diameter, "expected": ring.d},
+            witness={**where, "diameter": dcheck.array.d, "expected": ring.d},
         )
     for i in range(ring.d + 1):
-        if set(dcheck.partition.classes[i]) != set(dual.classes[tau[i]]):
+        if set(dcheck.classes[i]) != set(dual.classes[tau[i]]):
             raise InvariantViolation(
                 "dual graph distance classes differ from the dual classes",
                 witness={
                     **where,
                     "distance": i,
                     "expected": sorted(dual.classes[tau[i]]),
-                    "found": sorted(dcheck.partition.classes[i]),
+                    "found": sorted(dcheck.classes[i]),
                 },
             )
     q = dual.array[np.ix_(tau, tau, tau)]

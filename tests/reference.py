@@ -62,7 +62,6 @@ from drgcayley.groups import (
     generated_subgroup,
     is_prime,
     make_group,
-    subgroup_from_elements,
 )
 from drgcayley.schur import SchurRing, dual_schur_ring
 
@@ -532,11 +531,8 @@ def multipartite_part(graph: CayleyGraph) -> Optional[Subgroup]:
     parts), else None; by GroupElement sets and subgroup closure."""
     g = graph.group
     complement = frozenset(e for e in g.elements() if e not in graph.connection)
-    try:
-        h = subgroup_from_elements(g, complement)
-    except SpecError:
-        return None
-    return h if 1 < h.order < g.order else None
+    h = generated_subgroup(g, complement)
+    return h if h.order == len(complement) and 1 < h.order < g.order else None
 
 
 def connection_set_fault(group: AbelianGroup, connection: Iterable[GroupElement]) -> Optional[str]:
@@ -835,7 +831,7 @@ def antipodal_quotient(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> 
     info = imprimitivity(graph, check)
     if not info.antipodal or info.antipodal_class is None:
         raise SpecError("graph is not antipodal")
-    if check.partition.diameter < 2:
+    if check.array.d < 2:
         raise SpecError("antipodal quotient needs diameter at least 2")
     q, proj = quotient_group(graph.group, info.antipodal_class)
     conn = {proj(s) for s in graph.connection}
@@ -854,11 +850,10 @@ def bipartition_subgroup(graph: CayleyGraph, check: Optional[DRGCheck] = None) -
     if not info.bipartite:
         raise SpecError("graph is not bipartite")
     els = graph.group.elements()
-    evens = [els[i] for cls in check.partition.classes[::2] for i in cls]
-    try:
-        h = subgroup_from_elements(graph.group, evens)
-    except SpecError as exc:
-        raise InvariantViolation("even-distance classes do not form a subgroup") from exc
+    evens = [els[i] for cls in check.classes[::2] for i in cls]
+    h = generated_subgroup(graph.group, evens)
+    if h.order != len(evens):
+        raise InvariantViolation("even-distance classes do not form a subgroup")
     if h.order * 2 != graph.order:
         raise InvariantViolation("bipartition subgroup must have index 2")
     return h
@@ -871,7 +866,7 @@ def halved_graph(graph: CayleyGraph, check: Optional[DRGCheck] = None) -> Cayley
     h = bipartition_subgroup(graph, check)
     k_group, iso = subgroup_as_group(h)
     els = graph.group.elements()
-    s2 = [els[i] for i in check.partition.classes[2]] if check.partition.diameter >= 2 else []
+    s2 = [els[i] for i in check.classes[2]] if check.array.d >= 2 else []
     if not s2:
         raise SpecError("graph has no distance-2 class to halve")
     conn = {iso[x] for x in s2}
@@ -892,7 +887,7 @@ def quotient_by_subgroup(
     {k, mu|K|(r/|K| - 1), 1; 1, mu|K|, k} (complete when K = H)."""
     if check is None:
         check = check_distance_regular(graph)
-    if not check.ok or check.partition.diameter != 3:
+    if not check.ok or check.array.d != 3:
         raise SpecError("quotient-by-subgroup requires a distance-regular graph of diameter 3")
     info = imprimitivity(graph, check)
     if not info.antipodal or info.bipartite:

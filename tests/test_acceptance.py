@@ -10,7 +10,6 @@ import pytest
 
 from drgcayley.algebra import character_table
 from drgcayley.classify import (
-    SearchSpec,
     classify_group,
     nonexistence_report,
     verify_circulant_theorem,
@@ -298,6 +297,6 @@ def test_fourier_roundtrip_identity():
 def test_reports_identical_across_worker_counts():
     outputs = []
     for workers in (1, 2, 8):
-        report = classify_group(SearchSpec(make_group([9, 3]), workers=workers))
+        report = classify_group(make_group([9, 3]), workers=workers)
         outputs.append(report.to_json())
     assert outputs[0] == outputs[1] == outputs[2]

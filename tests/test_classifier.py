@@ -10,7 +10,6 @@ from drgcayley import constructions
 from drgcayley.classify import (
     CatalogDiff,
     ClassificationReport,
-    SearchSpec,
     _diff_against,
     _mask_indices,
     classify_group,
@@ -65,7 +64,7 @@ def test_enumeration_is_exactly_the_inverse_closed_family(moduli):
 
 
 def test_classify_z3_z3():
-    rep = classify_group(SearchSpec(make_group([3, 3])))
+    rep = classify_group(make_group([3, 3]))
     assert rep.total_sets == 16
     assert rep.connected_sets == 11
     assert rep.drg_count == 11
@@ -79,7 +78,7 @@ def test_classify_z3_z3():
 
 
 def test_classify_z6_z3():
-    rep = classify_group(SearchSpec(make_group([6, 3])))
+    rep = classify_group(make_group([6, 3]))
     assert rep.total_sets == 512
     assert rep.drg_count == 12
     fams = dict(rep.families)
@@ -90,7 +89,7 @@ def test_classify_z6_z3():
 
 
 def test_classify_z9_z3_complete_and_multipartite_only():
-    rep = classify_group(SearchSpec(make_group([9, 3])))
+    rep = classify_group(make_group([9, 3]))
     assert rep.total_sets == 8192
     assert rep.drg_count == 9
     kinds = {rec.family.kind for rec in rep.records}
@@ -99,7 +98,7 @@ def test_classify_z9_z3_complete_and_multipartite_only():
 
 
 def test_classify_z5_z5_line_unions():
-    rep = classify_group(SearchSpec(make_group([5, 5])))
+    rep = classify_group(make_group([5, 5]))
     assert rep.drg_count == 57
     fams = dict(rep.families)
     assert fams["union-of-order-p-subgroups(p=5,r=2)"] == 15
@@ -118,12 +117,12 @@ def test_classifier_agrees_with_direct_check_everywhere():
         gr = CayleyGraph(g, s)
         if s and gr.is_connected() and check_distance_regular(gr).ok:
             truth.add(s)
-    rep = classify_group(SearchSpec(g))
+    rep = classify_group(g)
     assert {conn for conn, _ in rep.drg_multiset()} == truth
 
 
 def test_orbit_collapse_on_records():
-    rep = classify_group(SearchSpec(make_group([3, 3])))
+    rep = classify_group(make_group([3, 3]))
     by_kind = {rec.family.kind: rec for rec in rep.records}
     multi = by_kind["multipartite"]
     assert multi.count == 4
@@ -133,16 +132,16 @@ def test_orbit_collapse_on_records():
 
 def test_reduction_soundness_and_worker_determinism():
     g = make_group([6, 3])
-    base = classify_group(SearchSpec(g)).to_json()
-    two = classify_group(SearchSpec(g, workers=2)).to_json()
+    base = classify_group(g).to_json()
+    two = classify_group(g, workers=2).to_json()
     assert base == two
 
 
 def test_classify_limits_and_bad_workers():
     with pytest.raises(SpecError):
-        classify_group(SearchSpec(make_group([12, 3]), max_subsets=1000))
+        classify_group(make_group([12, 3]), max_subsets=1000)
     with pytest.raises(SpecError):
-        classify_group(SearchSpec(make_group([3, 3]), workers=0))
+        classify_group(make_group([3, 3]), workers=0)
 
 
 def test_anomalies_surface_off_theorem_drgs():
@@ -150,7 +149,7 @@ def test_anomalies_surface_off_theorem_drgs():
     families (the 4x4 rook graph among them); they must be reported,
     not silently dropped."""
     g = make_group([4, 4])
-    rep = classify_group(SearchSpec(g))
+    rep = classify_group(g)
     assert rep.anomalies
     assert all(rec.family.kind == "none" for rec in rep.anomalies)
     rook = frozenset(
@@ -162,7 +161,7 @@ def test_anomalies_surface_off_theorem_drgs():
 
 
 def test_report_json_shape():
-    rep = classify_group(SearchSpec(make_group([3, 3])))
+    rep = classify_group(make_group([3, 3]))
     data = json.loads(rep.to_json())
     assert data["group"] == "3,3"
     assert data["subsets"] == 16
@@ -224,7 +223,7 @@ def test_verify_main_theorem_refuses_before_building_the_catalog(monkeypatch):
 
 def test_diff_flags_missing_and_unexpected():
     g = make_group([3, 3])
-    rep = classify_group(SearchSpec(g))
+    rep = classify_group(g)
     catalog = expected_catalog(g)
     short = catalog[:-1]
     diff = _diff_against(rep, short)
@@ -238,7 +237,7 @@ def test_diff_flags_missing_and_unexpected():
 
 def test_diff_duplicate_traps_carry_the_set():
     g = make_group([3, 3])
-    rep = classify_group(SearchSpec(g))
+    rep = classify_group(g)
     catalog = expected_catalog(g)
     with pytest.raises(InvariantViolation) as err:
         _diff_against(rep, list(catalog) + [catalog[0]])
@@ -290,17 +289,17 @@ def test_verify_circulant_edges_and_domain():
 
 
 def test_nonexistence_clean_groups():
-    rep = classify_group(SearchSpec(make_group([6, 3])))
+    rep = classify_group(make_group([6, 3]))
     out = nonexistence_report(rep)
     assert out.to_dict()["ok"] is True
     assert out.records_checked == len(rep.records)
     assert not out.primitive_exempt
-    exempt = nonexistence_report(classify_group(SearchSpec(make_group([5, 5]))))
+    exempt = nonexistence_report(classify_group(make_group([5, 5])))
     assert exempt.primitive_exempt
 
 
 def test_nonexistence_requires_target_shape():
-    rep = classify_group(SearchSpec(make_group([10])))
+    rep = classify_group(make_group([10]))
     with pytest.raises(SpecError):
         nonexistence_report(rep)
 
@@ -311,7 +310,7 @@ def _doctored(report: ClassificationReport, old, new) -> ClassificationReport:
 
 
 def test_nonexistence_bug_traps():
-    rep = classify_group(SearchSpec(make_group([6, 3])))
+    rep = classify_group(make_group([6, 3]))
     crown_rec = next(r for r in rep.records if r.family.kind == "crown")
     multi_rec = next(r for r in rep.records if r.family.kind == "multipartite")
     deep = replace(

@@ -2,6 +2,8 @@
 family constructions of tests/reference.py: every builder must certify
 itself against its predicted intersection array."""
 
+import time
+
 import pytest
 
 from drgcayley.constructions import (
@@ -223,6 +225,23 @@ def test_expected_catalog_rejections():
         expected_catalog(make_group([3, 2]))
     with pytest.raises(SpecError):
         expected_catalog(make_group([4, 3]))
+
+
+@pytest.mark.parametrize("moduli", [(400, 5), (672, 3)])
+def test_expected_catalog_refuses_past_the_orbit_bits_at_once(moduli):
+    # 1,000 and 1,008 orbit bits: refused before the subgroup lattice
+    group = make_group(moduli)
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match="subset ids are int64"):
+        expected_catalog(group)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_expected_circulant_catalog_orbit_bit_boundary():
+    # Z_127 has 63 {g,-g} orbits; Z_128 has 63 pairs and one involution
+    assert kinds(expected_circulant_catalog(127)) == {"complete": 1, "cycle": 63}
+    with pytest.raises(SpecError, match="128 has 64 > 63 orbit bits"):
+        expected_circulant_catalog(128)
 
 
 def kinds(entries):

@@ -16,7 +16,7 @@ from drgcayley.designs import (
 )
 from drgcayley.errors import SpecError
 from drgcayley.graphs import CayleyGraph
-from drgcayley.groups import all_subgroups, make_group
+from drgcayley.groups import all_subgroups, generated_subgroup, make_group
 
 from reference import (
     AlgebraElement,
@@ -40,21 +40,24 @@ def els(group, coords):
     return [group.element(c) for c in coords]
 
 
+def generated(group, coords):
+    return generated_subgroup(group, els(group, coords))
+
+
 # ---------------------------------------------------------------------------
 # relative difference sets
 
 
 def test_rds_z4_positive():
     g = make_group([4])
-    chk = is_relative_difference_set(g, els(g, [[0], [1]]), els(g, [[0], [2]]))
+    chk = is_relative_difference_set(g, els(g, [[0], [1]]), generated(g, [[2]]))
     assert chk.ok
     assert chk.params == (2, 2, 2, 1)
 
 
 def test_rds_z9_refusal_names_first_break():
     g = make_group([9])
-    chk = is_relative_difference_set(g, els(g, [[0], [1], [2]]),
-                                     els(g, [[0], [3], [6]]))
+    chk = is_relative_difference_set(g, els(g, [[0], [1], [2]]), generated(g, [[3]]))
     assert not chk.ok
     assert chk.witness == g.element([1])
     assert chk.expected == 1
@@ -64,8 +67,7 @@ def test_rds_z9_refusal_names_first_break():
 def test_rds_z2z4_positive():
     g = make_group([2, 4])
     d = els(g, [(0, 0), (0, 1), (1, 0), (1, 3)])
-    n = els(g, [(0, 0), (0, 2)])
-    chk = is_relative_difference_set(g, d, n)
+    chk = is_relative_difference_set(g, d, generated(g, [(0, 2)]))
     assert chk.ok
     assert chk.params == (4, 2, 4, 2)
     assert json.dumps(chk.to_dict())
@@ -74,13 +76,13 @@ def test_rds_z2z4_positive():
 def test_rds_forbidden_must_be_proper():
     g = make_group([4])
     with pytest.raises(SpecError):
-        is_relative_difference_set(g, els(g, [[1]]), list(g.elements()))
+        is_relative_difference_set(g, els(g, [[1]]), generated(g, [[1]]))
 
 
 def test_rds_forbidden_must_be_subgroup():
     g = make_group([9])
-    with pytest.raises(SpecError):
-        is_relative_difference_set(g, els(g, [[1]]), els(g, [[0], [1]]))
+    with pytest.raises(SpecError, match="different group"):
+        is_relative_difference_set(g, els(g, [[1]]), generated(make_group([3]), [[1]]))
 
 
 def _difference_counts(dset):
@@ -123,6 +125,7 @@ def test_rds_matches_difference_count_oracle(moduli):
                 expect = k if x.is_zero else (0 if x in nset else want_mu)
                 if counts.get(x, 0) != expect:
                     assert chk.witness == x
+                    assert chk.expected == expect
                     assert chk.actual == counts.get(x, 0)
                     break
 
@@ -133,27 +136,26 @@ def test_rds_matches_difference_count_oracle(moduli):
 
 def test_order_constraint_z4_exception():
     g = make_group([4])
-    assert rds_order_constraint(g, els(g, [[0], [1]]), els(g, [[0], [2]])) is True
+    assert rds_order_constraint(g, els(g, [[0], [1]]), generated(g, [[2]])) is True
 
 
 def test_order_constraint_exponent_divides():
     g = make_group([2, 4])
     d = els(g, [(0, 0), (0, 1), (1, 0), (1, 3)])
-    n = els(g, [(0, 0), (0, 2)])
-    assert rds_order_constraint(g, d, n) is True
+    assert rds_order_constraint(g, d, generated(g, [(0, 2)])) is True
 
 
 def test_order_constraint_rejects_non_rds():
     # difference counts outside the subgroup are 2 and 0, not constant
     g = make_group([2, 2])
     with pytest.raises(SpecError):
-        rds_order_constraint(g, els(g, [(0, 0), (1, 0)]), els(g, [(0, 0), (0, 1)]))
+        rds_order_constraint(g, els(g, [(0, 0), (1, 0)]), generated(g, [(0, 1)]))
 
 
 def test_order_constraint_rejects_wrong_shape():
     g = make_group([4])
     with pytest.raises(SpecError):
-        rds_order_constraint(g, els(g, [[0]]), els(g, [[0], [2]]))
+        rds_order_constraint(g, els(g, [[0]]), generated(g, [[2]]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,9 @@ from drgcayley import graphs
 from drgcayley.errors import InvariantViolation, NotConnectedError
 from drgcayley.graphs import (
     CayleyGraph,
-    DistancePartition,
     DRGCheck,
     IntersectionArray,
     check_distance_regular,
-    distance_partition,
 )
 from drgcayley.groups import make_group
 
@@ -27,8 +25,9 @@ from test_graphs import complete_graph, crown_graph_z6z3, cycle_graph, hypercube
 from test_schur import SMALL_GROUPS, _orbits
 
 
-def reference_distance_partition(graph: CayleyGraph) -> DistancePartition:
-    """BFS layers from the identity inside the difference structure."""
+def reference_distance_partition(graph: CayleyGraph) -> Tuple[Tuple[int, ...], ...]:
+    """BFS layers from the identity inside the difference structure, as
+    ascending index tuples."""
     g = graph.group
     n = g.order
     add = g.add_table()
@@ -48,20 +47,20 @@ def reference_distance_partition(graph: CayleyGraph) -> DistancePartition:
         frontier = nxt
     if not seen.all():
         raise NotConnectedError("connection set does not generate the group")
-    return DistancePartition(g, tuple(classes))
+    return tuple(classes)
 
 
 def reference_check_distance_regular(graph: CayleyGraph) -> DRGCheck:
     """Exact test: for each layer i the convolution of the layer indicator
     with the connection indicator must be constant on the classes at
     distance i-1, i, i+1 and zero elsewhere."""
-    part = reference_distance_partition(graph)
+    classes = reference_distance_partition(graph)
     n = graph.group.order
-    d = part.diameter
+    d = len(classes) - 1
     sub = graph.group.sub_table()
     s_vec = graph.indicator()
     inds = []
-    for cls in part.classes:
+    for cls in classes:
         v = np.zeros(n, dtype=np.int64)
         v[list(cls)] = 1
         inds.append(v)
@@ -70,24 +69,24 @@ def reference_check_distance_regular(graph: CayleyGraph) -> DRGCheck:
     for i in range(d + 1):
         prod = s_vec[sub] @ inds[i]  # (layer_i * S)[t] = |neighbors of t in S_i|
         for j in range(d + 1):
-            vals = prod[list(part.classes[j])]
+            vals = prod[list(classes[j])]
             lo, hi = int(vals.min()), int(vals.max())
             if lo != hi:
-                return DRGCheck(False, None, part, {"layer": i, "class": j, "min": lo, "max": hi})
+                return DRGCheck(False, None, classes, {"layer": i, "class": j, "min": lo, "max": hi})
             if abs(i - j) > 1 and hi != 0:
-                return DRGCheck(False, None, part, {"layer": i, "class": j, "nonzero": hi})
+                return DRGCheck(False, None, classes, {"layer": i, "class": j, "nonzero": hi})
             if j == i + 1 and j <= d:
                 c[j - 1] = hi  # c_{i+1}
             if j == i - 1:
                 b[j] = hi  # b_{i-1}
     arr = IntersectionArray(tuple(b), tuple(c))
     sizes = arr.class_sizes()
-    if sizes != tuple(len(cls) for cls in part.classes) or sum(sizes) != n:
+    if sizes != tuple(len(cls) for cls in classes) or sum(sizes) != n:
         raise InvariantViolation("intersection array inconsistent with layer sizes")
     for i in range(d):
         if sizes[i] * arr.b[i] != sizes[i + 1] * arr.c[i]:
             raise InvariantViolation("k_i b_i != k_{i+1} c_{i+1}")
-    return DRGCheck(True, arr, part)
+    return DRGCheck(True, arr, classes)
 
 
 @st.composite
@@ -106,15 +105,12 @@ def _agrees_with_references(graph: CayleyGraph) -> Optional[DRGCheck]:
     except NotConnectedError:
         with pytest.raises(NotConnectedError):
             check_distance_regular(graph)
-        with pytest.raises(NotConnectedError):
-            distance_partition(graph)
         assert check_distance_regular_bruteforce(graph).witness == {"disconnected": True}
         return None
     got = check_distance_regular(graph)
-    assert (got.ok, got.array, got.partition, got.witness) == (
-        want.ok, want.array, want.partition, want.witness
+    assert (got.ok, got.array, got.classes, got.witness) == (
+        want.ok, want.array, want.classes, want.witness
     )
-    assert distance_partition(graph) == want.partition
     brute = check_distance_regular_bruteforce(graph)
     assert (got.ok, got.array) == (brute.ok, brute.array)
     return got
@@ -135,6 +131,22 @@ def test_check_matches_reference_loop_and_bruteforce(graph):
 def test_check_matches_references_on_drg_fixtures(graph):
     got = _agrees_with_references(graph)
     assert got.ok
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [cycle_graph(5), crown_graph_z6z3(), hypercube4(), CayleyGraph(make_group([]), []),
+     # not distance-regular: Z_7 with {+-1, +-2} and Z_10 with {+-1, 5}
+     CayleyGraph(make_group([7]), [make_group([7]).element([x]) for x in (1, 2, 5, 6)]),
+     CayleyGraph(make_group([10]), [make_group([10]).element([x]) for x in (1, 5, 9)])],
+    ids=repr,
+)
+def test_classes_are_the_bfs_layers_on_pass_and_fail(graph):
+    check = check_distance_regular(graph)
+    assert check.classes == reference_distance_partition(graph)
+    assert check.ok == (check.array is not None)
+    if check.ok:
+        assert len(check.classes) - 1 == check.array.d
 
 
 def test_memo_shares_one_result_between_equal_groups():

@@ -1,7 +1,7 @@
 """Classification reports against golden digests, and the class-size check.
 
 tests/golden/classify_digests.json maps a group's moduli to the SHA-256
-of ``classify_group(SearchSpec(make_group(moduli))).to_json()`` as the
+of ``classify_group(make_group(moduli)).to_json()`` as the
 per-automorphism reference implementation produced it.  Any change that
 alters a report's bytes shows here.
 
@@ -40,7 +40,7 @@ import pytest
 
 from drgcayley import classify
 from drgcayley.cli import run
-from drgcayley.classify import SearchSpec, classify_group
+from drgcayley.classify import classify_group
 from drgcayley.constructions import expected_catalog, expected_circulant_catalog
 from drgcayley.groups import format_element, make_group
 
@@ -75,12 +75,12 @@ CLI_CASES = {
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_report_matches_golden_digest(key):
-    report = classify_group(SearchSpec(make_group([int(m) for m in key.split(",")])))
+    report = classify_group(make_group([int(m) for m in key.split(",")]))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == GOLDEN[key]
 
 
 def test_raised_limit_report_matches_golden_digest():
-    report = classify_group(SearchSpec(make_group([7, 7]), max_subsets=1 << 24))
+    report = classify_group(make_group([7, 7]), max_subsets=1 << 24)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == Z7X7_DIGEST
 
 

@@ -11,7 +11,6 @@ from drgcayley.graphs import (
     IntersectionArray,
     check_distance_regular,
     detect_family,
-    distance_partition,
     export_graph6,
     imprimitivity,
     spectrum,
@@ -140,22 +139,20 @@ def test_adjacency_symmetric_zero_diagonal():
 
 
 def test_distance_partition_c5():
-    part = distance_partition(cycle_graph(5))
-    assert part.diameter == 2
-    assert [len(c) for c in part.classes] == [1, 2, 2]
+    classes = check_distance_regular(cycle_graph(5)).classes
+    assert [len(c) for c in classes] == [1, 2, 2]
 
 
 def test_distance_partition_crown():
-    part = distance_partition(crown_graph_z6z3())
-    assert part.diameter == 3
-    assert [len(c) for c in part.classes] == [1, 8, 8, 1]
+    classes = check_distance_regular(crown_graph_z6z3()).classes
+    assert [len(c) for c in classes] == [1, 8, 8, 1]
 
 
 def test_distance_partition_disconnected():
     g = make_group([6, 3])
     gr = CayleyGraph(g, [g.element([1, 0]), g.element([5, 0])])
     with pytest.raises(NotConnectedError):
-        distance_partition(gr)
+        check_distance_regular(gr)
 
 
 # -- the distance-regularity test -------------------------------------------------
@@ -217,7 +214,7 @@ def test_no_diameter3_triple_cover_over_z3_cubed():
             res = check_distance_regular(gr)
         except NotConnectedError:
             continue
-        if res.ok and res.partition.diameter == 3:
+        if res.ok and res.array.d == 3:
             hits.append(vals)
     assert hits == []
 

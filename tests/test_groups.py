@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 from drgcayley import classify, groups
 from drgcayley.algebra import character_table
-from drgcayley.classify import SearchSpec, classify_group
+from drgcayley.classify import classify_group
 from drgcayley.cli import parse_connection
 from drgcayley.constructions import order_p_subgroups
 from drgcayley.errors import SpecError
 from drgcayley.graphs import CayleyGraph, detect_family
 from drgcayley.groups import (
+    MAX_ORDER,
     Subgroup,
     all_subgroups,
     automorphisms,
     canonicalize_connection_set,
+    check_orbit_bits,
     generated_subgroup,
     is_prime,
     make_group,
@@ -25,7 +27,6 @@ from drgcayley.groups import (
     parse_element,
     parse_element_set,
     parse_group,
-    subgroup_from_elements,
 )
 
 from reference import atoms, element_order, neg, quotient_group, scale, smith_normal_form, subgroup_as_group
@@ -133,14 +134,6 @@ def test_generated_subgroup():
     assert [e.coords for e in h.elements] == [(0,), (2,), (4,)]
     assert g.element([4]) in h
     assert g.element([3]) not in h
-
-
-def test_subgroup_from_elements_validates():
-    g = make_group([6])
-    ok = subgroup_from_elements(g, [g.element([0]), g.element([3])])
-    assert ok.order == 2
-    with pytest.raises(SpecError):
-        subgroup_from_elements(g, [g.element([0]), g.element([2])])
 
 
 def test_atoms_z6():
@@ -303,7 +296,7 @@ def test_equal_groups_share_one_copy_of_each_table():
 def test_one_classification_builds_the_automorphism_table_once():
     automorphisms.cache_clear()
     groups._lex_keys.cache_clear()
-    classify_group(SearchSpec(make_group([3, 3, 3])))
+    classify_group(make_group([3, 3, 3]))
     assert automorphisms.cache_info().misses == 1
 
 
@@ -340,7 +333,7 @@ def test_subgroups_with_equal_elements_are_equal():
     g = make_group([6, 3])
     a = generated_subgroup(g, [g.element([2, 0]), g.element([0, 1])])
     b = generated_subgroup(g, [g.element([4, 0]), g.element([2, 2])])
-    c = subgroup_from_elements(g, reversed(a.elements))
+    c = generated_subgroup(g, reversed(a.elements))
     assert a == b == c and hash(a) == hash(b) == hash(c)
     assert len({a, b, c}) == 1
     assert a != generated_subgroup(g, [g.element([2, 0])])
@@ -456,27 +449,30 @@ def test_maximal_subgroups_are_the_prime_index_lattice_members(moduli):
     assert len(got) == len(set(got)) and set(got) == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(UP_TO_64), st.data())
-def test_subgroup_from_elements_keeps_closed_sets_and_refuses_others(moduli, data):
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 16), max_size=4).filter(lambda m: np.prod(m) <= MAX_ORDER))
+def test_index_0_is_the_identity(moduli):
     group = make_group(moduli)
-    gens = data.draw(st.lists(st.integers(0, group.order - 1), max_size=4))
-    closed = generated_subgroup(group, [group.from_index(i) for i in gens])
-    assert subgroup_from_elements(group, closed.elements) == closed
-    picked = data.draw(st.sets(st.integers(0, group.order - 1), min_size=1, max_size=8))
-    elems = [group.from_index(i) for i in picked]
-    if len(_bfs_closure(group, elems)) == len(elems):
-        assert subgroup_from_elements(group, elems).indices == tuple(sorted(picked))
+    assert group.elements()[0].is_zero
+    assert group.index(group.zero) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(UP_TO_64 + GOLDEN_MODULI + [(127,), (128,), (2,) * 6 + (3,), (65, 2)]))
+def test_orbit_bits_refusal_is_the_int64_id_bound(moduli):
+    group = make_group(moduli)
+    if len(classify.inverse_pair_basis(group)) > 63:
+        with pytest.raises(SpecError, match="subset ids are int64"):
+            check_orbit_bits(group)
     else:
-        with pytest.raises(SpecError):
-            subgroup_from_elements(group, elems)
+        check_orbit_bits(group)
 
 
 @pytest.mark.parametrize("moduli", [(3, 3, 3), (2, 2, 2, 2)])
 def test_classification_builds_no_subgroup_lattice(moduli):
     all_subgroups.cache_clear()
     classify._tables.cache_clear()
-    classify_group(SearchSpec(make_group(moduli)))
+    classify_group(make_group(moduli))
     assert all_subgroups.cache_info().hits + all_subgroups.cache_info().misses == 0
 
 

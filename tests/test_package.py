@@ -17,6 +17,7 @@ import drgcayley
 REMOVED = (
     "Construction", "srg_array", "complete_graph", "complete_multipartite", "cycle", "paley",
     "subgroups_of_order", "divisors",
+    "SearchSpec", "DistancePartition", "distance_partition", "_as_subgroup", "subgroup_from_elements",
 )
 # class -> members it no longer defines
 REMOVED_MEMBERS = {

@@ -12,7 +12,7 @@ from drgcayley.algebra import character_values
 from drgcayley.cli import run
 from drgcayley.cyclotomic import CyclotomicInteger, euler_phi
 from drgcayley.errors import InvariantViolation, SpecError
-from drgcayley.graphs import CayleyGraph, check_distance_regular, distance_partition, spectrum
+from drgcayley.graphs import CayleyGraph, check_distance_regular, spectrum
 from drgcayley.groups import AbelianGroup, make_group
 from drgcayley.schur import (
     SchurCheck,
@@ -193,7 +193,7 @@ def test_p_polynomial_identity_ordering():
             res = check_distance_regular(CayleyGraph(gr.group, conn))
             assert res.ok
             for i in range(ring.rank):
-                assert set(res.partition.classes[i]) == set(ring.classes[tau[i]])
+                assert set(res.classes[i]) == set(ring.classes[tau[i]])
 
 
 def test_bipartite_iff_q_antipodal():
@@ -398,7 +398,7 @@ def test_structure_constants_match_reference_on_random_partitions(case):
 @settings(max_examples=80, deadline=None)
 @given(_connected_sets())
 def test_distance_partitions_match_reference_and_drg_test(graph):
-    classes = distance_partition(graph).classes
+    classes = check_distance_regular(graph).classes
     got = verify_schur_ring(graph.group, classes)
     _same_check(got, reference_verify_schur_ring(graph.group, classes))
     assert got.ok == check_distance_regular(graph).ok

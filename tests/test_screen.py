@@ -156,7 +156,7 @@ def test_int8_screen_refuses_a_group_above_its_order_bound():
     group = make_group([128])
     # B = 64 orbit bits: a raised limit alone does not reach the screen
     with pytest.raises(SpecError):
-        classify.classify_group(classify.SearchSpec(group, max_subsets=1 << 70))
+        classify.classify_group(group, max_subsets=1 << 70)
     # L = 0 and an empty step range: the order check comes before any table
     with pytest.MonkeyPatch.context() as mp, pytest.raises(classify.InvariantViolation) as err:
         mp.setattr(classify, "HIGH_BITS", 64)
@@ -256,13 +256,13 @@ def test_spawned_step_split_matches_in_process(moduli, monkeypatch):
         return ProcessPoolExecutor(*args, **kwargs)
 
     group = make_group(moduli)
-    want = classify.classify_group(classify.SearchSpec(group)).to_json()
+    want = classify.classify_group(group).to_json()
     monkeypatch.setattr(classify, "SPAWN_SUBSETS", 0)
     monkeypatch.setattr(classify, "ProcessPoolExecutor", counted)
     monkeypatch.setattr(classify.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     steps = 1 << classify._low_bits(classify._tables(moduli).B)
     for jobs in (2, 3):
-        assert classify.classify_group(classify.SearchSpec(group, workers=jobs)).to_json() == want
+        assert classify.classify_group(group, workers=jobs).to_json() == want
     assert pools == ([] if steps == 1 else [2, min(3, steps)])
 
 
@@ -277,11 +277,11 @@ def test_spawned_workers_are_capped_at_the_usable_cpus(monkeypatch):
         return ThreadPoolExecutor(max_workers=1)
 
     group = make_group([12, 3])  # 64 Gray steps
-    want = classify.classify_group(classify.SearchSpec(group)).to_json()
+    want = classify.classify_group(group).to_json()
     monkeypatch.setattr(classify, "SPAWN_SUBSETS", 0)
     monkeypatch.setattr(classify, "ProcessPoolExecutor", one_thread)
     monkeypatch.setattr(classify.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert classify.classify_group(classify.SearchSpec(group, workers=1 << 15)).to_json() == want
+    assert classify.classify_group(group, workers=1 << 15).to_json() == want
     assert pools == [3]
 
 
@@ -291,9 +291,9 @@ def test_searches_below_the_spawn_threshold_run_in_process(monkeypatch):
 
     group = make_group([15, 3])
     assert 1 << classify._tables((15, 3)).B < classify.SPAWN_SUBSETS
-    want = classify.classify_group(classify.SearchSpec(group)).to_json()
+    want = classify.classify_group(group).to_json()
     monkeypatch.setattr(classify, "ProcessPoolExecutor", refuse)
-    assert classify.classify_group(classify.SearchSpec(group, workers=2)).to_json() == want
+    assert classify.classify_group(group, workers=2).to_json() == want
 
 
 def _scan_and_count_aut_tables(args):
@@ -311,6 +311,6 @@ def test_aut_tables_are_built_only_in_the_parent():
     with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
         assert pool.submit(_scan_and_count_aut_tables, (moduli, 0, steps)).result() == (0, 0)
     before = groups._lex_keys.cache_info()
-    classify.classify_group(classify.SearchSpec(make_group(moduli)))
+    classify.classify_group(make_group(moduli))
     after = groups._lex_keys.cache_info()
     assert after.hits + after.misses > before.hits + before.misses

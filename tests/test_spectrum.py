@@ -227,7 +227,7 @@ def test_one_graph_checks_its_distance_module_once(monkeypatch, graph):
         cache.cache_clear()
     _analyse(graph)
     _analyse(graph)
-    assert verified == [check_distance_regular(graph).partition.classes]
+    assert verified == [check_distance_regular(graph).classes]
     assert len(searched) == 1
     ring = module(graph)
     assert schur.q_polynomial_orderings(ring) == search(schur.dual_schur_ring(ring).array)
